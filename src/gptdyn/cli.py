@@ -19,7 +19,7 @@ from .mub import is_mutually_unbiased
 from .restriction import check_quantum_like_uncertainty, classify_restriction
 from .solver import (
     allowed_transform_set,
-    restriction_dynamics_tradeoff,
+    compare_tradeoff,
     verify_main_theorem,
     verify_transformation,
 )
@@ -261,9 +261,10 @@ def _cmd_demo(args) -> int:
     sections = []
     payload = {"theories": [], "tradeoff": None, "uncertainty": []}
     all_ok = True
+    reports = {}
     for name in ("gbit", "cube", "qubit", "classical2", "octahedron"):
         t = builtin_theory(name)
-        report = verify_main_theorem(t, name)
+        report = reports[name] = verify_main_theorem(t, name)
         all_ok = all_ok and report.ok
         sections.append(_theorem_text(report))
         payload["theories"].append(report.to_jsonable())
@@ -287,9 +288,16 @@ def _cmd_demo(args) -> int:
     sections.append("\n".join(unc_lines))
 
     # The octahedron keeps a one-parameter family exactly where the square
-    # freezes: restricting states buys transformation freedom.
-    tradeoff = restriction_dynamics_tradeoff(
-        builtin_theory("octahedron"), builtin_theory("gbit"), "octahedron", "square"
+    # freezes: restricting states buys transformation freedom.  The theorem
+    # reports above already hold both theories' per-branch dimensions.
+    restricted, freer = reports["octahedron"], reports["gbit"]
+    tradeoff = compare_tradeoff(
+        "octahedron",
+        restricted.per_branch_freedom,
+        tuple(ats.family_dim() for ats in restricted.branch_results),
+        "square",
+        freer.per_branch_freedom,
+        tuple(ats.family_dim() for ats in freer.branch_results),
     )
     all_ok = all_ok and tradeoff.consistent
     payload["tradeoff"] = tradeoff.to_jsonable()

@@ -121,12 +121,6 @@ def mat_add(a: Mat, b: Mat) -> Mat:
     return tuple(vec_add(ra, rb) for ra, rb in zip(a, b))
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    if shape(a) != shape(b):
-        raise ValueError("matrix shape mismatch in sub")
-    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b))
-
-
 def mat_scale(a: Mat, s: Fraction | int) -> Mat:
     return tuple(vec_scale(row, s) for row in a)
 

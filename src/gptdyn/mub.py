@@ -22,7 +22,6 @@ from .theories import (
     StateVec,
     TheorySpec,
     membership,
-    to_minimal,
 )
 from .theory_io import vec_strs
 
@@ -126,14 +125,3 @@ def qubit_axis_unbiased(axis_a: Vec, axis_b: Vec) -> bool:
         raise ValueError("axes must be nonzero")
     return sum((a * b for a, b in zip(axis_a, axis_b)), ZERO) == 0
 
-
-def permuted_vertex_images_member(t: TheorySpec, s: StateVec, labels: list[str]) -> bool:
-    """Membership of every relabelled image of one state; test helper for convexity."""
-    sm = to_minimal(s)
-    for label in labels:
-        k = t.measurement(label).outcomes
-        for mapping in permutations(range(k)):
-            perm = OutcomePermutation(label, mapping)
-            if not membership(t, permute_measurement_stats(sm, perm)).is_inside:
-                return False
-    return True

@@ -9,14 +9,18 @@ transformation ``T`` of minimal-representation states:
   the valid states span the whole space - pins the normalisation row and
   the branch-probability rows of ``T`` to the identity's rows.
 
-Stage one solves that equality system exactly; the leftover freedom is a
-linear space of directions around the identity.  Stage two intersects it
-with state preservation: for polytope state spaces the image of every
-vertex must satisfy every facet, which is a finite system of linear
-inequalities in the free parameters, so the surviving family is itself a
-polytope whose dimension exact LPs decide.  For the round state space the
-family is not polyhedral; instead an explicit family of rational
-orthogonal phase-plane maps is verified member by member.
+Stage one solves that equality system exactly.  It never couples two rows
+of ``T``: the first ``N`` rows are pinned, and every other row ``T_r`` must
+satisfy ``T_r . v = v_r`` for each fixed vector ``v``, which the identity's
+row already does.  So one kernel of the stacked fixed vectors ``F``, taken
+once, applies row by row: the leftover freedom is spanned by the directions
+``e_r (x) w`` for each free row ``r >= N`` and each ``w`` in ``ker F``.
+Stage two intersects it with state preservation: for polytope state spaces
+the image of every vertex must satisfy every facet, which is a finite
+system of linear inequalities in the free parameters, so the surviving
+family is itself a polytope whose dimension exact LPs decide.  For the
+round state space the family is not polyhedral; instead an explicit family
+of rational orthogonal phase-plane maps is verified member by member.
 """
 
 from __future__ import annotations
@@ -66,36 +70,31 @@ from .theory_io import vec_strs
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Equality constraints on the d*d entries of a branch-local transformation."""
+    """Equality constraints on a branch-local transformation ``T``.
+
+    Rows ``0 .. branch_row_count - 1`` of ``T`` equal the identity's rows and
+    ``T v = v`` for every vector ``v`` in ``fixed_vectors``.
+    """
 
     theory: TheorySpec
     acting_branch: int
     fixed_vectors: Mat
     branch_row_count: int
 
-    def equations(self) -> tuple[Mat, Vec]:
-        """Flatten to ``A vec(T) = b`` with row-major unknown ordering."""
-        d = self.theory.dim
-        rows: list[Vec] = []
-        rhs: list[Fraction] = []
-        for r in range(self.branch_row_count):
-            for c in range(d):
-                rows.append(unit(d * d, r * d + c))
-                rhs.append(ONE if r == c else ZERO)
-        for v in self.fixed_vectors:
-            for r in range(d):
-                row = [ZERO] * (d * d)
-                row[r * d : r * d + d] = list(v)
-                rows.append(tuple(row))
-                rhs.append(v[r])
-        return tuple(rows), tuple(rhs)
-
 
 @dataclass(frozen=True)
 class LinearStage:
-    """Solutions of the equality stage: identity plus a span of free directions."""
+    """Solutions of the equality stage: identity plus a span of free directions.
+
+    Each free direction has a single nonzero row ``r >= first_free_row``,
+    equal to one vector of ``kernel`` (a basis of the kernel of the fixed
+    vectors).  ``free_directions`` lists them row by row, and within a row
+    in kernel order.
+    """
 
     base: Mat
+    first_free_row: int
+    kernel: Mat
     free_directions: tuple[Mat, ...]
 
     @property
@@ -231,21 +230,26 @@ def assemble_constraints(t: TheorySpec, branch: int) -> ConstraintSystem:
     )
 
 
-def _unflatten(flat: Vec, d: int) -> Mat:
-    return tuple(flat[r * d : (r + 1) * d] for r in range(d))
-
-
 def solve_linear_stage(cs: ConstraintSystem) -> LinearStage:
-    """Exact solution set of the equalities: always the identity plus a kernel."""
-    a, b = cs.equations()
+    """Exact solution set of the equalities: the identity plus ``e_r (x) ker F``.
+
+    The kernel of the fixed vectors ``F`` is taken once, ``d`` entries wide,
+    and placed in every free row.  The order of the directions is the one
+    elimination over the row-major ``d*d`` entries of ``T`` gives.
+    """
     d = cs.theory.dim
-    flat_identity = tuple(x for row in identity(d) for x in row)
-    if matvec(a, flat_identity) != b:  # pragma: no cover - identity always satisfies
-        raise AssertionError("the identity violates the assembled constraints")
-    kernel = nullspace(a)
+    kernel = nullspace(cs.fixed_vectors) if cs.fixed_vectors else identity(d)
+    zero_row = zeros(d)
+    directions = tuple(
+        tuple(w if row == r else zero_row for row in range(d))
+        for r in range(cs.branch_row_count, d)
+        for w in kernel
+    )
     return LinearStage(
         base=identity(d),
-        free_directions=tuple(_unflatten(v, d) for v in kernel),
+        first_free_row=cs.branch_row_count,
+        kernel=kernel,
+        free_directions=directions,
     )
 
 
@@ -270,8 +274,13 @@ def impose_state_preservation(
 
     Each (vertex, facet) pair contributes one inequality that is linear in
     the free parameters; by convexity the vertices decide membership for
-    every state.  Exact LPs then either pin every parameter to zero or
-    measure the affine dimension of the surviving parameter polytope.
+    every state.  Direction ``e_r (x) w`` moves the image of vertex ``v`` by
+    ``w . v`` along ``e_r``, so the pair's row is ``g_r (w . v)`` over the
+    directions and its bound is ``-g . v``.  Pairs whose row vanishes (``v``
+    orthogonal to the kernel, or ``g`` zero on every free row) are dropped:
+    the identity keeps ``v`` inside ``g``.  Exact LPs then either pin every
+    parameter to zero or measure the affine dimension of the surviving
+    parameter polytope.
     """
     space = t.state_space
     if not isinstance(space, PolytopeStateSpace):
@@ -285,17 +294,19 @@ def impose_state_preservation(
     seen: set[tuple[Vec, Fraction]] = set()
     rows: list[Vec] = []
     rhs: list[Fraction] = []
+    free_rows = range(stage.first_free_row, t.dim)
+    moving_facets = []
+    for g in space.cone_facets:
+        g_free = tuple(g[r] for r in free_rows)
+        if any(g_free):
+            moving_facets.append((g, g_free))
     for v in space.vertices:
-        base_image = matvec(stage.base, v)
-        for g in space.cone_facets:
-            coeffs = tuple(
-                dot(g, matvec(direction, v)) for direction in stage.free_directions
-            )
-            bound = -dot(g, base_image)
-            if all(c == 0 for c in coeffs):
-                if bound < 0:  # pragma: no cover - base image is always a member
-                    raise AssertionError("identity image violates a facet")
-                continue
+        kernel_images = tuple(dot(w, v) for w in stage.kernel)
+        if not any(kernel_images):
+            continue
+        for g, g_free in moving_facets:
+            coeffs = tuple(gr * x for gr in g_free for x in kernel_images)
+            bound = -dot(g, v)
             key = (coeffs, bound)
             if key not in seen:
                 seen.add(key)
@@ -425,7 +436,12 @@ def verify_transformation(t: TheorySpec, transform: Mat, branch: int) -> Verific
     d = t.dim
     if len(transform) != d or any(len(row) != d for row in transform):
         raise ValueError(f"transformation must be {d}x{d} for this theory")
-    cs = assemble_constraints(t, branch)
+    return _verify_against(assemble_constraints(t, branch), transform)
+
+
+def _verify_against(cs: ConstraintSystem, transform: Mat) -> VerificationReport:
+    t = cs.theory
+    d = t.dim
     ident = identity(d)
     branch_residuals = tuple(
         vec_sub(transform[r], ident[r]) for r in range(cs.branch_row_count)
@@ -465,7 +481,7 @@ def verify_transformation(t: TheorySpec, transform: Mat, branch: int) -> Verific
                 if not result.is_inside:
                     violations.append((probe, image, result.violation or "outside"))
     return VerificationReport(
-        branch=branch,
+        branch=cs.acting_branch,
         branch_row_residuals=branch_residuals,
         fixed_vector_residuals=fixed_residuals,
         membership_violations=tuple(violations),
@@ -487,8 +503,11 @@ def count_forced_eigenvectors(t: TheorySpec, branch: int) -> int:
     is independent because every other-branch fixed vector assigns the
     acting branch probability zero.
     """
-    cs = assemble_constraints(t, branch)
-    acting = conditional_state_set(t, branch).generators[0]
+    return _forced_fixed_count(assemble_constraints(t, branch))
+
+
+def _forced_fixed_count(cs: ConstraintSystem) -> int:
+    acting = conditional_state_set(cs.theory, cs.acting_branch).generators[0]
     return rank(cs.fixed_vectors + (acting,))
 
 
@@ -502,9 +521,7 @@ def allowed_transform_set(t: TheorySpec, branch: int) -> AllowedTransformSet:
         preserving = impose_state_preservation(t, stage)
     else:
         transforms = ball_candidate_transforms(t)
-        reports = tuple(
-            verify_transformation(t, transform, branch) for transform in transforms
-        )
+        reports = tuple(_verify_against(cs, transform) for transform in transforms)
         if not all(r.passed for r in reports):  # pragma: no cover - all orthogonal
             raise AssertionError("a built-in candidate failed verification")
         preserving = CandidateVerified(transforms=transforms, reports=reports)
@@ -513,7 +530,7 @@ def allowed_transform_set(t: TheorySpec, branch: int) -> AllowedTransformSet:
         branch=branch,
         linear_stage=stage,
         state_preserving=preserving,
-        forced_fixed_count=count_forced_eigenvectors(t, branch),
+        forced_fixed_count=_forced_fixed_count(cs),
     )
 
 
@@ -695,31 +712,55 @@ def restriction_dynamics_tradeoff(
     """
     fr = classify_restriction(restricted).per_branch_freedom
     ff = classify_restriction(freer).per_branch_freedom
+    _require_more_restricted(fr, ff, restricted_name, freer_name)
+
+    def dims(t: TheorySpec) -> tuple[int | None, ...]:
+        return tuple(
+            allowed_set_dimension(allowed_transform_set(t, b)) for b in range(len(fr))
+        )
+
+    return compare_tradeoff(
+        restricted_name, fr, dims(restricted), freer_name, ff, dims(freer)
+    )
+
+
+def compare_tradeoff(
+    restricted_name: str,
+    restricted_freedoms: tuple[int, ...],
+    restricted_dims: tuple[int | None, ...],
+    freer_name: str,
+    freer_freedoms: tuple[int, ...],
+    freer_dims: tuple[int | None, ...],
+) -> TradeoffReport:
+    """The trade-off comparison over per-branch freedoms and allowed-set dimensions."""
+    _require_more_restricted(
+        restricted_freedoms, freer_freedoms, restricted_name, freer_name
+    )
+    if None in restricted_dims or None in freer_dims:
+        raise ValueError("the trade-off comparison needs polytope state spaces")
+    consistent = all(
+        dr >= df and (free_r == free_f or dr > df)
+        for free_r, free_f, dr, df in zip(
+            restricted_freedoms, freer_freedoms, restricted_dims, freer_dims
+        )
+    )
+    return TradeoffReport(
+        restricted_name=restricted_name,
+        restricted_freedoms=restricted_freedoms,
+        restricted_dims=restricted_dims,
+        freer_name=freer_name,
+        freer_freedoms=freer_freedoms,
+        freer_dims=freer_dims,
+        consistent=consistent,
+    )
+
+
+def _require_more_restricted(
+    fr: tuple[int, ...], ff: tuple[int, ...], restricted_name: str, freer_name: str
+) -> None:
     if len(fr) != len(ff):
         raise ValueError("theories must share the branch outcome count")
     if any(a > b for a, b in zip(fr, ff)):
         raise ValueError(
             f"{restricted_name} is not componentwise more restricted than {freer_name}"
         )
-    dims_restricted = []
-    dims_freer = []
-    for b in range(len(fr)):
-        dim_r = allowed_set_dimension(allowed_transform_set(restricted, b))
-        dim_f = allowed_set_dimension(allowed_transform_set(freer, b))
-        if dim_r is None or dim_f is None:
-            raise ValueError("the trade-off comparison needs polytope state spaces")
-        dims_restricted.append(dim_r)
-        dims_freer.append(dim_f)
-    consistent = all(
-        dr >= df and (fr[b] == ff[b] or dr > df)
-        for b, (dr, df) in enumerate(zip(dims_restricted, dims_freer))
-    )
-    return TradeoffReport(
-        restricted_name=restricted_name,
-        restricted_freedoms=fr,
-        restricted_dims=tuple(dims_restricted),
-        freer_name=freer_name,
-        freer_freedoms=ff,
-        freer_dims=tuple(dims_freer),
-        consistent=consistent,
-    )

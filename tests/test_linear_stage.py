@@ -1,0 +1,178 @@
+"""The row-decoupled equality stage against the flat d*d-unknown system."""
+
+import pytest
+
+from gptdyn import solver
+from gptdyn.exactla import identity, matvec, rank, vec
+from gptdyn.solver import (
+    ConstraintSystem,
+    PolytopeFamily,
+    UniqueIdentity,
+    assemble_constraints,
+    compare_tradeoff,
+    impose_state_preservation,
+    restriction_dynamics_tradeoff,
+    solve_linear_stage,
+)
+from gptdyn.theories import (
+    MeasurementSpec,
+    Role,
+    TheorySpec,
+    builtin_theory,
+    make_boxworld,
+    polytope_from_vertices,
+)
+from gptdyn.theory_io import load_theory
+
+from helpers import direction_halfspaces, flat_equations, flat_free_directions
+from test_theory_io import DIAMOND_H_CONFIG
+
+
+def make_stabilizer_octahedron():
+    """Bloch octahedron over Z, X, Y: two free rows and a three-wide kernel.
+
+    Besides the qubit, the only theory here where both the free rows and the
+    kernel number more than one, so the only polytope theory on which the
+    order of the directions, and of the coefficients in each row, shows.
+    """
+    half = "1/2"
+    vertices = [
+        vec(entries)
+        for entries in (
+            [1, 1, half, half],
+            [1, 0, half, half],
+            [1, half, 1, half],
+            [1, half, 0, half],
+            [1, half, half, 1],
+            [1, half, half, 0],
+        )
+    ]
+    return TheorySpec(
+        measurements=(
+            MeasurementSpec("Z", 2, Role.BRANCH),
+            MeasurementSpec("X", 2, Role.FIDUCIAL),
+            MeasurementSpec("Y", 2, Role.FIDUCIAL),
+        ),
+        state_space=polytope_from_vertices(vertices),
+    )
+
+
+THEORIES = {
+    "qubit": lambda: builtin_theory("qubit"),
+    "stabilizer_octahedron": make_stabilizer_octahedron,
+    "gbit": lambda: builtin_theory("gbit"),
+    "cube": lambda: builtin_theory("cube"),  # box-world (3, 2)
+    "classical2": lambda: builtin_theory("classical2"),
+    "octahedron": lambda: builtin_theory("octahedron"),
+    "boxworld23": lambda: make_boxworld(2, 3),
+    "boxworld42": lambda: make_boxworld(4, 2),
+    "boxworld33": lambda: make_boxworld(3, 3),
+    "diamond_h": lambda: load_theory(DIAMOND_H_CONFIG),
+}
+
+CASES = [
+    (name, branch)
+    for name, build in THEORIES.items()
+    for branch in range(build().branch_outcomes)
+]
+POLYTOPE_CASES = [(name, branch) for name, branch in CASES if name != "qubit"]
+
+
+def constraints(name, branch):
+    t = THEORIES[name]()
+    return t, assemble_constraints(t, branch)
+
+
+def case_ids(cases):
+    return [f"{name}-{branch}" for name, branch in cases]
+
+
+@pytest.fixture(params=CASES, ids=case_ids(CASES))
+def case(request):
+    return constraints(*request.param)
+
+
+def test_identity_solves_flat_system(case):
+    _, cs = case
+    a, b = flat_equations(cs)
+    d = cs.theory.dim
+    assert matvec(a, tuple(x for row in identity(d) for x in row)) == b
+
+
+def test_free_directions_equal_flat_kernel(case):
+    _, cs = case
+    stage = solve_linear_stage(cs)
+    assert stage.base == identity(cs.theory.dim)
+    assert stage.free_directions == flat_free_directions(cs)
+
+
+def test_free_directions_are_single_rows(case):
+    _, cs = case
+    stage = solve_linear_stage(cs)
+    d = cs.theory.dim
+    n = cs.branch_row_count
+    kernel_dim = d - rank(cs.fixed_vectors)
+    assert stage.first_free_row == n
+    assert len(stage.kernel) == kernel_dim
+    assert stage.dim == (d - n) * kernel_dim
+    for index, direction in enumerate(stage.free_directions):
+        moving = [r for r in range(d) if any(direction[r])]
+        assert len(moving) == 1
+        assert moving[0] >= n
+        assert moving[0] == n + index // kernel_dim
+        assert direction[moving[0]] == stage.kernel[index % kernel_dim]
+
+
+def test_no_fixed_vectors_leave_whole_rows_free():
+    cs = ConstraintSystem(
+        theory=builtin_theory("gbit"),
+        acting_branch=0,
+        fixed_vectors=(),
+        branch_row_count=2,
+    )
+    stage = solve_linear_stage(cs)
+    assert stage.kernel == identity(3)
+    assert stage.free_directions == flat_free_directions(cs)
+
+
+@pytest.mark.parametrize(
+    "name, branch", POLYTOPE_CASES, ids=case_ids(POLYTOPE_CASES)
+)
+def test_halfspaces_equal_direction_reference(name, branch, monkeypatch):
+    t, cs = constraints(name, branch)
+    stage = solve_linear_stage(cs)
+    reference = direction_halfspaces(t, flat_free_directions(cs))
+    systems = []
+
+    def recording_lp(objective, eq=None, ineq=None, sense="max"):
+        systems.append(ineq)
+        return lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
+
+    lp_optimize = solver.lp_optimize
+    monkeypatch.setattr(solver, "lp_optimize", recording_lp)
+    result = impose_state_preservation(t, stage)
+    assert len(systems) == 2 * stage.dim
+    assert all(system == reference for system in systems)
+    if isinstance(result, PolytopeFamily):
+        assert (result.halfspace_matrix, result.halfspace_rhs) == reference
+    else:
+        assert isinstance(result, UniqueIdentity)
+
+
+def test_compare_tradeoff_matches_solving_wrapper():
+    octahedron = builtin_theory("octahedron")
+    gbit = builtin_theory("gbit")
+    solved = restriction_dynamics_tradeoff(octahedron, gbit, "octahedron", "square")
+    compared = compare_tradeoff(
+        "octahedron",
+        solved.restricted_freedoms,
+        solved.restricted_dims,
+        "square",
+        solved.freer_freedoms,
+        solved.freer_dims,
+    )
+    assert compared == solved
+    with pytest.raises(ValueError):
+        compare_tradeoff("a", (1, 1), (None, 0), "b", (1, 1), (0, 0))
+    with pytest.raises(ValueError):
+        compare_tradeoff("a", (2, 1), (1, 1), "b", (1, 1), (0, 0))
