@@ -3,10 +3,13 @@
 Everything in this package that touches a state vector or a transformation
 matrix runs through these helpers.  The whole point of the library is to
 decide questions like "is the identity the *only* allowed transformation?",
-which is a degenerate question under floating point, so all arithmetic is
-carried out with :class:`fractions.Fraction` and no rounding ever happens.
-Dimensions are tiny (single-digit state-space dimensions), so asymptotic
-performance is irrelevant; clarity and exactness win.
+which is a degenerate question under floating point, so arithmetic is exact
+and no rounding ever happens.  These helpers work in
+:class:`fractions.Fraction`; the simplex tableau in :mod:`gptdyn.simplex`
+keeps integer rows instead (positive multiples of the rational rows), which
+gives the same answers at a fraction of the cost.  Dimensions are small,
+but the solver runs these helpers and its exact LPs many times per
+question, so their cost shows end to end.
 
 Vectors are tuples of ``Fraction`` and matrices are tuples of row vectors.
 Tuples keep the values immutable, hashable and safe to share.

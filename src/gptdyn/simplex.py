@@ -7,6 +7,15 @@ nonnegative ones, every pivot uses Bland's smallest-index rule so the
 method terminates without any anti-degeneracy perturbation, and because
 arithmetic is exact the Optimal/Infeasible/Unbounded trichotomy is decided
 exactly rather than up to a tolerance.
+
+The tableau holds integer rows, the fraction-free pivoting of exact vertex
+enumeration codes such as lrs.  Each row is a gcd-reduced positive multiple
+of the rational row the textbook method would hold, with a positive
+coefficient on its basic column.  Every sign and every ratio, and so every
+pivot, is the textbook one, while a pivot costs integer products and one gcd
+per row instead of rational arithmetic.  ``Fraction`` appears only at the
+boundary: each input row is scaled to integers once, and the witness levels
+and the optimum are read back as rationals.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exactla import Mat, ONE, Vec, ZERO, dot, matvec, shape
 
@@ -31,63 +41,86 @@ class LpResult:
     witness: Vec | None
 
 
-class _Tableau:
-    """Dense simplex tableau; rows carry the rhs in the last column."""
+def _scaled(values: list[Fraction]) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, and that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]) -> None:
+
+def _combine(row: list[int], pivot_row: list[int], col: int) -> list[int]:
+    """Eliminate ``col`` from ``row`` with ``pivot_row``, whose entry there is > 0.
+
+    ``pivot_row[col] * row - row[col] * pivot_row`` is a positive multiple of
+    the rational elimination; it is returned divided by its gcd.
+    """
+    pc = pivot_row[col]
+    a = row[col]
+    out = [pc * v - a * p for v, p in zip(row, pivot_row)]
+    g = gcd(*out)
+    if g > 1:
+        out = [v // g for v in out]
+    return out
+
+
+class _Tableau:
+    """Dense simplex tableau of integer rows; the rhs is in the last column.
+
+    Row ``r`` is a gcd-reduced positive multiple of the rational row whose
+    basic column ``basis[r]`` has coefficient 1.  So ``rows[r][basis[r]]`` is
+    > 0 and the basic variable's level is
+    ``Fraction(rows[r][-1], rows[r][basis[r]])``.  Reduced-cost rows are kept
+    the same way, as positive multiples of the rational ones.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int]) -> None:
         self.rows = rows
         self.basis = basis
 
     def pivot(self, row: int, col: int) -> None:
-        piv = self.rows[row][col]
-        inv = 1 / piv
-        self.rows[row] = [v * inv for v in self.rows[row]]
-        for r in range(len(self.rows)):
-            if r != row and self.rows[r][col] != 0:
-                factor = self.rows[r][col]
-                pivot_row = self.rows[row]
-                self.rows[r] = [v - factor * p for v, p in zip(self.rows[r], pivot_row)]
+        pivot_row = self.rows[row]
+        # Driving out an artificial may pivot on a negative entry; negating the
+        # row (its rhs is 0) keeps the new basic coefficient positive.
+        if pivot_row[col] < 0:
+            pivot_row = [-v for v in pivot_row]
+            self.rows[row] = pivot_row
+        for r, other in enumerate(self.rows):
+            if r != row and other[col] != 0:
+                self.rows[r] = _combine(other, pivot_row, col)
         self.basis[row] = col
 
-    def minimize(self, cost: list[Fraction], allowed: set[int]) -> tuple[str, list[Fraction]]:
+    def minimize(self, cost: list[int], allowed: int) -> tuple[str, list[int]]:
         """Run Bland-rule simplex on the given cost vector.
 
         ``cost`` has one entry per column plus the objective constant in the
-        last slot; ``allowed`` restricts the columns eligible to enter the
-        basis.  Returns the final status and the reduced cost row.
+        last slot, as a positive multiple of the rational costs; only the
+        first ``allowed`` columns may enter the basis.  Returns the final
+        status and the reduced cost row, again a positive multiple.
         """
-        z = list(cost)
+        z = cost
         for r, basic in enumerate(self.basis):
             if z[basic] != 0:
-                factor = z[basic]
-                z = [v - factor * p for v, p in zip(z, self.rows[r])]
-        ncols = len(z) - 1
+                z = _combine(z, self.rows[r], basic)
         while True:
-            entering = next(
-                (j for j in range(ncols) if j in allowed and z[j] < 0), None
-            )
+            entering = next((j for j in range(allowed) if z[j] < 0), None)
             if entering is None:
                 return "optimal", z
+            # Ratio test by cross-multiplication; ties go to the smallest basic column.
             leaving = None
-            best_ratio: Fraction | None = None
+            best_rhs = best_coeff = 0
             for r, row in enumerate(self.rows):
                 coeff = row[entering]
                 if coeff > 0:
-                    ratio = row[-1] / coeff
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[r] < self.basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = r
+                    if leaving is not None:
+                        lhs = row[-1] * best_coeff
+                        rhs = best_rhs * coeff
+                        if lhs > rhs or (lhs == rhs and self.basis[r] > self.basis[leaving]):
+                            continue
+                    leaving, best_rhs, best_coeff = r, row[-1], coeff
             if leaving is None:
                 return "unbounded", z
             self.pivot(leaving, entering)
-            for r, basic in enumerate(self.basis):
-                if z[basic] != 0:
-                    factor = z[basic]
-                    z = [v - factor * p for v, p in zip(z, self.rows[r])]
+            # Every other basic column already has a zero reduced cost.
+            z = _combine(z, self.rows[leaving], entering)
 
 
 def _check_system(label: str, system: tuple[Mat, Vec] | None, nvars: int) -> tuple[Mat, Vec]:
@@ -121,64 +154,47 @@ def lp_optimize(
     a_eq, b_eq = _check_system("equality", eq, nvars)
     a_in, b_in = _check_system("inequality", ineq, nvars)
 
-    # Columns: x = u - w with u, w >= 0, then one slack per inequality row.
+    # Columns: x = u - w with u, w >= 0, then one slack per inequality row,
+    # then one artificial per row without a slack basis: equality rows and
+    # rows whose rhs is negated to make it nonnegative.
     nslack = len(a_in)
     base_cols = 2 * nvars + nslack
-    raw_rows: list[tuple[list[Fraction], Fraction, int | None]] = []
-    for row, rhs in zip(a_eq, b_eq):
-        coeffs = [*row] + [-v for v in row] + [ZERO] * nslack
-        raw_rows.append((coeffs, rhs, None))
-    for idx, (row, rhs) in enumerate(zip(a_in, b_in)):
-        coeffs = [*row] + [-v for v in row] + [ZERO] * nslack
-        coeffs[2 * nvars + idx] = ONE
-        raw_rows.append((coeffs, rhs, 2 * nvars + idx))
-
-    # Normalise to nonnegative rhs; a flipped row loses its natural slack basis.
-    rows: list[list[Fraction]] = []
+    ncols = base_cols + len(a_eq) + sum(1 for rhs in b_in if rhs < 0)
+    rows: list[list[int]] = []
     basis: list[int] = []
-    artificial_cols: list[int] = []
-    ncols = base_cols
-    pending: list[tuple[list[Fraction], Fraction, int | None]] = []
-    for coeffs, rhs, slack in raw_rows:
-        if rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-            slack = None
-        pending.append((coeffs, rhs, slack))
-        if slack is None:
-            ncols += 1
-    col = base_cols
-    for coeffs, rhs, slack in pending:
-        full = coeffs + [ZERO] * (ncols - base_cols) + [rhs]
+    artificial = base_cols
+    raw_rows = [(row, rhs, None) for row, rhs in zip(a_eq, b_eq)]
+    raw_rows += [(row, rhs, 2 * nvars + i) for i, (row, rhs) in enumerate(zip(a_in, b_in))]
+    for row, rhs, slack in raw_rows:
+        ints, scale = _scaled([*row, rhs])
+        sign = -1 if ints[-1] < 0 else 1
+        coeffs = [sign * v for v in ints[:-1]]
+        full = coeffs + [-v for v in coeffs] + [0] * (ncols - 2 * nvars) + [sign * ints[-1]]
         if slack is not None:
+            full[slack] = sign * scale
+        if slack is not None and sign > 0:
             basis.append(slack)
         else:
-            full[col] = ONE
-            basis.append(col)
-            artificial_cols.append(col)
-            col += 1
+            full[artificial] = scale
+            basis.append(artificial)
+            artificial += 1
         rows.append(full)
 
     tableau = _Tableau(rows, basis)
-    all_cols = set(range(ncols))
 
-    if artificial_cols:
-        phase1 = [ZERO] * (ncols + 1)
-        for c in artificial_cols:
-            phase1[c] = ONE
-        status, z = tableau.minimize(phase1, all_cols)
+    if ncols > base_cols:
+        phase1 = [0] * base_cols + [1] * (ncols - base_cols) + [0]
+        status, z = tableau.minimize(phase1, ncols)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise AssertionError("phase-1 objective cannot be unbounded")
-        if -z[-1] != 0:
+        if z[-1] != 0:
             return LpResult(LpStatus.INFEASIBLE, None, None)
         # Drive any artificial still in the basis out, or drop its row.
-        structural = set(range(base_cols))
-        artificial = set(artificial_cols)
         r = 0
         while r < len(tableau.rows):
-            if tableau.basis[r] in artificial:
+            if tableau.basis[r] >= base_cols:
                 col = next(
-                    (c for c in sorted(structural) if tableau.rows[r][c] != 0), None
+                    (c for c in range(base_cols) if tableau.rows[r][c] != 0), None
                 )
                 if col is None:
                     del tableau.rows[r]
@@ -186,22 +202,18 @@ def lp_optimize(
                     continue
                 tableau.pivot(r, col)
             r += 1
-        allowed = structural
-    else:
-        allowed = set(range(base_cols))
 
-    phase2 = [ZERO] * (ncols + 1)
     sign = -1 if sense == "max" else 1
-    for j in range(nvars):
-        phase2[j] = sign * objective[j]
-        phase2[nvars + j] = -sign * objective[j]
-    status, _ = tableau.minimize(phase2, allowed)
+    obj, _ = _scaled(list(objective))
+    phase2 = [sign * v for v in obj] + [-sign * v for v in obj] + [0] * (ncols - 2 * nvars + 1)
+    status, _ = tableau.minimize(phase2, base_cols)
     if status == "unbounded":
         return LpResult(LpStatus.UNBOUNDED, None, None)
 
-    levels = [ZERO] * ncols
-    for r, basic in enumerate(tableau.basis):
-        levels[basic] = tableau.rows[r][-1]
+    levels = [ZERO] * (2 * nvars)
+    for row, basic in zip(tableau.rows, tableau.basis):
+        if basic < 2 * nvars:
+            levels[basic] = Fraction(row[-1], row[basic])
     witness = tuple(levels[j] - levels[nvars + j] for j in range(nvars))
     return LpResult(LpStatus.OPTIMAL, dot(objective, witness), witness)
 

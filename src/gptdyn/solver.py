@@ -280,7 +280,8 @@ def impose_state_preservation(
     orthogonal to the kernel, or ``g`` zero on every free row) are dropped:
     the identity keeps ``v`` inside ``g``.  Exact LPs then either pin every
     parameter to zero or measure the affine dimension of the surviving
-    parameter polytope.
+    parameter polytope; the axis LPs' witnesses go to the dimension search
+    as known members, so rows slack at one of them need no LP of their own.
     """
     space = t.state_space
     if not isinstance(space, PolytopeStateSpace):
@@ -329,7 +330,7 @@ def impose_state_preservation(
     if forced_zero:
         return UniqueIdentity()
     return PolytopeFamily(
-        dim=feasible_region_dim(a, b, k),
+        dim=feasible_region_dim(a, b, k, witnesses),
         halfspace_matrix=a,
         halfspace_rhs=b,
         witnesses=tuple(witnesses),

@@ -1,10 +1,13 @@
-"""Shared test utilities: random exact states and mixtures, and the flat
-d*d-unknown form of the solver's equality stage as a reference."""
+"""Shared test utilities: random exact states and mixtures, and references
+for the solver's fast paths: the flat d*d-unknown form of its equality
+stage, the rational-row simplex the integer-row one replaced, and the
+one-LP-per-row implicit-equality search."""
 
 from fractions import Fraction
 import random
 
-from gptdyn.exactla import ONE, ZERO, Mat, Vec, dot, matvec, nullspace, unit
+from gptdyn.exactla import ONE, ZERO, Mat, Vec, dot, matvec, nullspace, rank, unit
+from gptdyn.simplex import LpResult, LpStatus, _check_system
 from gptdyn.solver import ConstraintSystem
 from gptdyn.theories import TheorySpec, spanning_states
 
@@ -81,3 +84,184 @@ def direction_halfspaces(
                 rows.append(coeffs)
                 rhs.append(bound)
     return tuple(rows), tuple(rhs)
+
+
+# -- Reference simplex: the tableau of plain ``Fraction`` rows that the
+# integer-row tableau replaced, kept as it was so the pivot paths can be compared.
+
+
+class FractionTableau:
+    """Dense simplex tableau; rows carry the rhs in the last column."""
+
+    def __init__(self, rows: list[list[Fraction]], basis: list[int]) -> None:
+        self.rows = rows
+        self.basis = basis
+
+    def pivot(self, row: int, col: int) -> None:
+        piv = self.rows[row][col]
+        inv = 1 / piv
+        self.rows[row] = [v * inv for v in self.rows[row]]
+        for r in range(len(self.rows)):
+            if r != row and self.rows[r][col] != 0:
+                factor = self.rows[r][col]
+                pivot_row = self.rows[row]
+                self.rows[r] = [v - factor * p for v, p in zip(self.rows[r], pivot_row)]
+        self.basis[row] = col
+
+    def minimize(self, cost: list[Fraction], allowed: set[int]) -> tuple[str, list[Fraction]]:
+        """Run Bland-rule simplex on the given cost vector.
+
+        ``cost`` has one entry per column plus the objective constant in the
+        last slot; ``allowed`` restricts the columns eligible to enter the
+        basis.  Returns the final status and the reduced cost row.
+        """
+        z = list(cost)
+        for r, basic in enumerate(self.basis):
+            if z[basic] != 0:
+                factor = z[basic]
+                z = [v - factor * p for v, p in zip(z, self.rows[r])]
+        ncols = len(z) - 1
+        while True:
+            entering = next(
+                (j for j in range(ncols) if j in allowed and z[j] < 0), None
+            )
+            if entering is None:
+                return "optimal", z
+            leaving = None
+            best_ratio: Fraction | None = None
+            for r, row in enumerate(self.rows):
+                coeff = row[entering]
+                if coeff > 0:
+                    ratio = row[-1] / coeff
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and self.basis[r] < self.basis[leaving])
+                    ):
+                        best_ratio = ratio
+                        leaving = r
+            if leaving is None:
+                return "unbounded", z
+            self.pivot(leaving, entering)
+            for r, basic in enumerate(self.basis):
+                if z[basic] != 0:
+                    factor = z[basic]
+                    z = [v - factor * p for v, p in zip(z, self.rows[r])]
+
+
+
+def fraction_lp_optimize(
+    objective: Vec,
+    eq: tuple[Mat, Vec] | None = None,
+    ineq: tuple[Mat, Vec] | None = None,
+    sense: str = "max",
+) -> LpResult:
+    """Optimise ``objective . x`` subject to ``A_eq x = b_eq`` and ``A_in x <= b_in``.
+
+    Variables are free (unbounded in sign); add rows to ``ineq`` to bound
+    them.  ``sense`` is ``"max"`` or ``"min"``.  The result is exact: when
+    Optimal, the witness satisfies every constraint exactly and attains the
+    optimum exactly.
+    """
+    if sense not in ("max", "min"):
+        raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+    nvars = len(objective)
+    a_eq, b_eq = _check_system("equality", eq, nvars)
+    a_in, b_in = _check_system("inequality", ineq, nvars)
+
+    # Columns: x = u - w with u, w >= 0, then one slack per inequality row.
+    nslack = len(a_in)
+    base_cols = 2 * nvars + nslack
+    raw_rows: list[tuple[list[Fraction], Fraction, int | None]] = []
+    for row, rhs in zip(a_eq, b_eq):
+        coeffs = [*row] + [-v for v in row] + [ZERO] * nslack
+        raw_rows.append((coeffs, rhs, None))
+    for idx, (row, rhs) in enumerate(zip(a_in, b_in)):
+        coeffs = [*row] + [-v for v in row] + [ZERO] * nslack
+        coeffs[2 * nvars + idx] = ONE
+        raw_rows.append((coeffs, rhs, 2 * nvars + idx))
+
+    # Normalise to nonnegative rhs; a flipped row loses its natural slack basis.
+    rows: list[list[Fraction]] = []
+    basis: list[int] = []
+    artificial_cols: list[int] = []
+    ncols = base_cols
+    pending: list[tuple[list[Fraction], Fraction, int | None]] = []
+    for coeffs, rhs, slack in raw_rows:
+        if rhs < 0:
+            coeffs = [-v for v in coeffs]
+            rhs = -rhs
+            slack = None
+        pending.append((coeffs, rhs, slack))
+        if slack is None:
+            ncols += 1
+    col = base_cols
+    for coeffs, rhs, slack in pending:
+        full = coeffs + [ZERO] * (ncols - base_cols) + [rhs]
+        if slack is not None:
+            basis.append(slack)
+        else:
+            full[col] = ONE
+            basis.append(col)
+            artificial_cols.append(col)
+            col += 1
+        rows.append(full)
+
+    tableau = FractionTableau(rows, basis)
+    all_cols = set(range(ncols))
+
+    if artificial_cols:
+        phase1 = [ZERO] * (ncols + 1)
+        for c in artificial_cols:
+            phase1[c] = ONE
+        status, z = tableau.minimize(phase1, all_cols)
+        if status != "optimal":  # pragma: no cover - phase 1 is always bounded
+            raise AssertionError("phase-1 objective cannot be unbounded")
+        if -z[-1] != 0:
+            return LpResult(LpStatus.INFEASIBLE, None, None)
+        # Drive any artificial still in the basis out, or drop its row.
+        structural = set(range(base_cols))
+        artificial = set(artificial_cols)
+        r = 0
+        while r < len(tableau.rows):
+            if tableau.basis[r] in artificial:
+                col = next(
+                    (c for c in sorted(structural) if tableau.rows[r][c] != 0), None
+                )
+                if col is None:
+                    del tableau.rows[r]
+                    del tableau.basis[r]
+                    continue
+                tableau.pivot(r, col)
+            r += 1
+        allowed = structural
+    else:
+        allowed = set(range(base_cols))
+
+    phase2 = [ZERO] * (ncols + 1)
+    sign = -1 if sense == "max" else 1
+    for j in range(nvars):
+        phase2[j] = sign * objective[j]
+        phase2[nvars + j] = -sign * objective[j]
+    status, _ = tableau.minimize(phase2, allowed)
+    if status == "unbounded":
+        return LpResult(LpStatus.UNBOUNDED, None, None)
+
+    levels = [ZERO] * ncols
+    for r, basic in enumerate(tableau.basis):
+        levels[basic] = tableau.rows[r][-1]
+    witness = tuple(levels[j] - levels[nvars + j] for j in range(nvars))
+    return LpResult(LpStatus.OPTIMAL, dot(objective, witness), witness)
+
+def unpruned_feasible_region_dim(a: Mat, b: Vec, nvars: int) -> int:
+    """Affine dimension of ``{x : A x <= b}`` with one exact LP per row, no pruning."""
+    if not a:
+        return nvars
+    equality_rows: list[Vec] = []
+    for row, rhs in zip(a, b):
+        result = fraction_lp_optimize(row, ineq=(a, b), sense="min")
+        if result.status is LpStatus.OPTIMAL and result.optimum == rhs:
+            equality_rows.append(row)
+    if not equality_rows:
+        return nvars
+    return nvars - rank(tuple(equality_rows))

@@ -1,9 +1,11 @@
 """Facet/vertex enumeration tests with explicit support oracles."""
 
 from fractions import Fraction
+import random
 
 import pytest
 
+from gptdyn import polytopes
 from gptdyn.exactla import affine_hull_dim, dot, mat, vec
 from gptdyn.polytopes import (
     UnsupportedDimensionError,
@@ -12,6 +14,8 @@ from gptdyn.polytopes import (
     is_bounded,
     vertex_enumeration,
 )
+
+from helpers import unpruned_feasible_region_dim
 
 
 def _assert_supporting(vertices, halfspaces, hull_dim):
@@ -135,6 +139,91 @@ def test_feasible_region_dim_cases():
     )
     assert feasible_region_dim(*point, nvars=2) == 0
     assert feasible_region_dim((), (), nvars=3) == 3
+
+
+def _planted_region(rng: random.Random):
+    """Distinct rows around a random member, with planted implicit equalities.
+
+    Each planted pair is a row and its negation at the same bound, so the
+    region lies in that row's hyperplane.
+    """
+    nvars = rng.randint(2, 4)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+
+    member = tuple(rational() for _ in range(nvars))
+    while True:
+        rows, rhs = [], []
+        for _ in range(rng.randint(2, 8)):
+            row = tuple(rational() for _ in range(nvars))
+            rows.append(row)
+            rhs.append(dot(row, member) + rng.choice((0, 0, Fraction(rng.randint(1, 6), 3))))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            row = tuple(rational() for _ in range(nvars))
+            rows += [row, tuple(-x for x in row)]
+            rhs += [dot(row, member), -dot(row, member)]
+        if len(set(rows)) == len(rows):
+            break
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    a = tuple(rows[i] for i in order)
+    b = tuple(rhs[i] for i in order)
+    return a, b, nvars, member
+
+
+def _recording_lp(monkeypatch):
+    objectives = []
+    lp_optimize = polytopes.lp_optimize
+
+    def recording_lp(objective, eq=None, ineq=None, sense="max"):
+        objectives.append(objective)
+        return lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
+
+    monkeypatch.setattr(polytopes, "lp_optimize", recording_lp)
+    return objectives
+
+
+def test_feasible_region_dim_pruning_matches_unpruned_reference(monkeypatch):
+    rng = random.Random(31)
+    objectives = _recording_lp(monkeypatch)
+    dims = set()
+    for _ in range(40):
+        a, b, nvars, member = _planted_region(rng)
+        expected = unpruned_feasible_region_dim(a, b, nvars)
+        dims.add(nvars - expected)
+        assert feasible_region_dim(a, b, nvars) == expected
+        objectives.clear()
+        assert feasible_region_dim(a, b, nvars, [member]) == expected
+        # A row strict at the given member is no implicit equality: no LP for it.
+        tight = {row for row, rhs in zip(a, b) if dot(row, member) == rhs}
+        assert set(objectives) <= tight
+    assert dims >= {0, 1, 2}
+
+
+def test_feasible_region_dim_lp_calls(monkeypatch):
+    objectives = _recording_lp(monkeypatch)
+    square_rows = mat([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    origin = vec([0, 0])
+    assert feasible_region_dim(square_rows, vec([1, 1, 1, 1]), 2, [origin]) == 2
+    assert objectives == []
+    # The pinched and point regions still decide their equalities by LP.
+    assert feasible_region_dim(square_rows, vec([0, 0, 1, 1]), 2, [origin]) == 1
+    assert objectives == list(square_rows[:2])
+    objectives.clear()
+    assert feasible_region_dim(square_rows, vec([0, 0, 0, 0]), 2, [origin]) == 0
+    assert objectives == list(square_rows)
+    # Without given points, an LP's optimal vertex prunes later rows.
+    objectives.clear()
+    assert feasible_region_dim(square_rows, vec([1, 1, 1, 1]), 2) == 2
+    assert 0 < len(objectives) < 4
+
+
+def test_feasible_region_dim_rejects_points_outside():
+    square = (mat([[1, 0], [-1, 0], [0, 1], [0, -1]]), vec([1, 1, 1, 1]))
+    for outside in (vec([2, 0]), vec([0, -2]), vec(["1/2", "-3/2"])):
+        with pytest.raises(ValueError):
+            feasible_region_dim(*square, 2, [vec([0, 0]), outside])
 
 
 def test_octahedron_3d_facet_count():

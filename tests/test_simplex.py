@@ -1,13 +1,20 @@
-"""Exact LP kernel tests; derived expectations use vertex enumeration oracles."""
+"""Exact LP kernel tests; derived expectations use vertex enumeration oracles,
+and the integer-row tableau is checked against the rational-row one."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 import random
 
 import pytest
 
-from gptdyn.exactla import identity, mat, matvec, vec
+from gptdyn import polytopes, solver
+from gptdyn.exactla import dot, identity, mat, matvec, vec
 from gptdyn.simplex import LpStatus, lp_optimize, stochastic_fixed_point
+from gptdyn.solver import assemble_constraints, impose_state_preservation, solve_linear_stage
+from gptdyn.theories import BUILTIN_BUILDERS, PolytopeStateSpace, make_boxworld
+
+from helpers import fraction_lp_optimize
 
 
 def test_maximize_on_unit_interval():
@@ -152,3 +159,122 @@ def test_fixed_point_contract_on_random_matrices():
         assert matvec(s, v) == v
         assert sum(v) == 1
         assert all(x >= 0 for x in v)
+
+
+def _rational(rng: random.Random) -> Fraction:
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+
+
+def _mixed_lp(rng: random.Random):
+    """A small LP around a random point: mixed rows, ties, redundancy, contradictions."""
+    nvars = rng.randint(1, 4)
+    point = [_rational(rng) for _ in range(nvars)]
+    eq_rows, eq_rhs = [], []
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        row = [_rational(rng) for _ in range(nvars)]
+        eq_rows.append(row)
+        eq_rhs.append(dot(row, point))
+    if eq_rows and rng.random() < 0.4:
+        # A redundant equality, a multiple of another or the sum of two: phase 1 drops a row.
+        i, j = rng.randrange(len(eq_rows)), rng.randrange(len(eq_rows))
+        q = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+        eq_rows.append([q * x + y for x, y in zip(eq_rows[i], eq_rows[j])])
+        eq_rhs.append(q * eq_rhs[i] + eq_rhs[j])
+    in_rows, in_rhs = [], []
+    for _ in range(rng.randint(0, 7)):
+        row = [_rational(rng) for _ in range(nvars)]
+        # Zero slack makes degenerate vertices and ratio ties; negative slack
+        # cuts the point off and gives negative right-hand sides.
+        slack = rng.choice((0, 0, Fraction(rng.randint(-3, 6), rng.randint(1, 12))))
+        in_rows.append(row)
+        in_rhs.append(dot(row, point) + slack)
+    if in_rows and rng.random() < 0.3:
+        k = rng.randrange(len(in_rows))
+        in_rows.append([2 * x for x in in_rows[k]])
+        in_rhs.append(2 * in_rhs[k])
+    if in_rows and rng.random() < 0.1:
+        k = rng.randrange(len(in_rows))
+        in_rows.append([-x for x in in_rows[k]])
+        in_rhs.append(-in_rhs[k] - 1)
+    if rng.random() < 0.5:
+        for i in range(nvars):
+            for sign in (1, -1):
+                in_rows.append([Fraction(sign) if j == i else Fraction(0) for j in range(nvars)])
+                in_rhs.append(sign * point[i] + rng.randint(0, 3))
+    objective = vec([_rational(rng) for _ in range(nvars)])
+    eq = (mat(eq_rows), vec(eq_rhs)) if eq_rows else None
+    ineq = (mat(in_rows), vec(in_rhs)) if in_rows else None
+    return objective, eq, ineq, rng.choice(("max", "min"))
+
+
+def _face_lp(rng: random.Random):
+    """Rows through the origin inside a box, pushed along two rows at once.
+
+    The origin is a degenerate vertex, so the ratio test ties at 0; when both
+    pushed rows are tight at the optimum the optima form a face, and the
+    pivot path decides which point of it is the witness.
+    """
+    nvars = rng.randint(3, 4)
+    rows = [
+        [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(nvars)]
+        for _ in range(rng.randint(2, 5))
+    ]
+    rhs = [Fraction(0)] * len(rows)
+    for i in range(nvars):
+        for sign in (1, -1):
+            rows.append([Fraction(sign) if j == i else Fraction(0) for j in range(nvars)])
+            rhs.append(Fraction(1))
+    i, j = rng.sample(range(len(rows)), 2)
+    objective = vec([x + y for x, y in zip(rows[i], rows[j])])
+    if rng.random() < 0.5:
+        return vec([-x for x in objective]), None, (mat(rows), vec(rhs)), "min"
+    return objective, None, (mat(rows), vec(rhs)), "max"
+
+
+def _assert_same_as_reference(objective, eq, ineq, sense):
+    got = lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
+    want = fraction_lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
+    assert repr(got) == repr(want), (objective, eq, ineq, sense)
+    return got
+
+
+def test_integer_tableau_matches_rational_tableau_on_random_lps():
+    rng = random.Random(2024)
+    statuses = Counter()
+    for k in range(200):
+        lp = _face_lp(rng) if k % 5 < 2 else _mixed_lp(rng)
+        statuses[_assert_same_as_reference(*lp).status] += 1
+    assert min(statuses[s] for s in LpStatus) >= 15, statuses
+
+
+def _recorded_state_preservation_lps(t, monkeypatch):
+    calls = []
+
+    def recording_lp(objective, eq=None, ineq=None, sense="max"):
+        calls.append((objective, eq, ineq, sense))
+        return lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
+
+    monkeypatch.setattr(solver, "lp_optimize", recording_lp)
+    monkeypatch.setattr(polytopes, "lp_optimize", recording_lp)
+    for branch in range(t.branch_outcomes):
+        impose_state_preservation(t, solve_linear_stage(assemble_constraints(t, branch)))
+    return calls
+
+
+SOLVER_THEORIES = {
+    **{
+        name: build
+        for name, build in BUILTIN_BUILDERS.items()
+        if isinstance(build().state_space, PolytopeStateSpace)
+    },
+    "boxworld(2,3)": lambda: make_boxworld(2, 3),
+    "boxworld(3,3)": lambda: make_boxworld(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_THEORIES))
+def test_integer_tableau_matches_rational_tableau_on_solver_lps(name, monkeypatch):
+    for call in _recorded_state_preservation_lps(SOLVER_THEORIES[name](), monkeypatch):
+        _assert_same_as_reference(*call)
