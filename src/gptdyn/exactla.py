@@ -6,7 +6,9 @@ decide questions like "is the identity the *only* allowed transformation?",
 which is a degenerate question under floating point, so arithmetic is exact
 and no rounding ever happens.  These helpers work in
 :class:`fractions.Fraction`; the simplex tableau in :mod:`gptdyn.simplex`
-keeps integer rows instead (positive multiples of the rational rows), which
+and the double description routine in :mod:`gptdyn.polytopes` keep integer
+rows instead (positive multiples of the rational rows, made by
+:func:`scale_to_integers` and combined by :func:`int_combination`), which
 gives the same answers at a fraction of the cost.  Dimensions are small,
 but the solver runs these helpers and its exact LPs many times per
 question, so their cost shows end to end.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -38,6 +41,21 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def scale_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, and that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def int_combination(a: int, u: list[int], b: int, w: list[int]) -> list[int]:
+    """``a*u - b*w`` for integer vectors, divided by the gcd of its entries."""
+    out = [a * x - b * y for x, y in zip(u, w)]
+    g = gcd(*out)
+    if g > 1:
+        out = [x // g for x in out]
+    return out
 
 
 def vec(values: Iterable[int | str | Fraction]) -> Vec:

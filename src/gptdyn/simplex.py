@@ -23,9 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
 
-from .exactla import Mat, ONE, Vec, ZERO, dot, matvec, shape
+from .exactla import (
+    Mat,
+    ONE,
+    Vec,
+    ZERO,
+    dot,
+    int_combination,
+    matvec,
+    scale_to_integers,
+    shape,
+)
 
 
 class LpStatus(Enum):
@@ -41,25 +50,13 @@ class LpResult:
     witness: Vec | None
 
 
-def _scaled(values: list[Fraction]) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, and that lcm."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def _combine(row: list[int], pivot_row: list[int], col: int) -> list[int]:
     """Eliminate ``col`` from ``row`` with ``pivot_row``, whose entry there is > 0.
 
     ``pivot_row[col] * row - row[col] * pivot_row`` is a positive multiple of
     the rational elimination; it is returned divided by its gcd.
     """
-    pc = pivot_row[col]
-    a = row[col]
-    out = [pc * v - a * p for v, p in zip(row, pivot_row)]
-    g = gcd(*out)
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+    return int_combination(pivot_row[col], row, row[col], pivot_row)
 
 
 class _Tableau:
@@ -166,7 +163,7 @@ def lp_optimize(
     raw_rows = [(row, rhs, None) for row, rhs in zip(a_eq, b_eq)]
     raw_rows += [(row, rhs, 2 * nvars + i) for i, (row, rhs) in enumerate(zip(a_in, b_in))]
     for row, rhs, slack in raw_rows:
-        ints, scale = _scaled([*row, rhs])
+        ints, scale = scale_to_integers([*row, rhs])
         sign = -1 if ints[-1] < 0 else 1
         coeffs = [sign * v for v in ints[:-1]]
         full = coeffs + [-v for v in coeffs] + [0] * (ncols - 2 * nvars) + [sign * ints[-1]]
@@ -204,7 +201,7 @@ def lp_optimize(
             r += 1
 
     sign = -1 if sense == "max" else 1
-    obj, _ = _scaled(list(objective))
+    obj, _ = scale_to_integers(objective)
     phase2 = [sign * v for v in obj] + [-sign * v for v in obj] + [0] * (ncols - 2 * nvars + 1)
     status, _ = tableau.minimize(phase2, base_cols)
     if status == "unbounded":

@@ -279,10 +279,10 @@ def _fmt(values: Vec) -> str:
 
 
 def polytope_from_vertices(vertices: Mat) -> PolytopeStateSpace:
-    """Derive the facets of the normalised slice by brute-force enumeration.
+    """Derive the facets of the normalised slice by double description.
 
-    Only possible for minimal dimension d <= 7 (slice dimension <= 6);
-    beyond that the halfspaces must be supplied explicitly.
+    Only possible for minimal dimension d <= 7 (slice dimension at most
+    ``MAX_ENUM_DIM`` = 6); beyond that the error says to supply halfspaces.
     """
     if not vertices:
         raise TheoryValidationError("a polytope state space needs vertices")

@@ -24,7 +24,6 @@ import re
 from fractions import Fraction
 
 from .exactla import Mat, Vec
-from .polytopes import UnsupportedDimensionError
 from .theories import (
     BallStateSpace,
     MeasurementSpec,
@@ -117,12 +116,6 @@ def load_theory(text: str) -> TheorySpec:
         vertices = tuple(
             _parse_vector(v, f"vertices[{i}]") for i, v in enumerate(raw_vertices)
         )
-        if len(vertices[0]) > 6:
-            raise UnsupportedDimensionError(
-                f"facet derivation from vertices supports minimal dimension <= 6, "
-                f"got {len(vertices[0])}; supply the halfspace representation "
-                "(polytope_h) in the theory config"
-            )
         space = polytope_from_vertices(vertices)
     elif kind == "polytope_h":
         _require_keys(raw_space, {"type", "halfspaces"}, {"type", "halfspaces"}, "state_space")

@@ -1,12 +1,33 @@
 """Shared test utilities: random exact states and mixtures, and references
-for the solver's fast paths: the flat d*d-unknown form of its equality
-stage, the rational-row simplex the integer-row one replaced, and the
-one-LP-per-row implicit-equality search."""
+for the fast paths: the flat d*d-unknown form of the solver's equality
+stage, the rational-row simplex the integer-row one replaced, the
+one-LP-per-row implicit-equality search, and the subset-by-subset facet and
+vertex enumerations that double description replaced."""
 
 from fractions import Fraction
+from itertools import combinations
 import random
+from typing import Sequence
 
-from gptdyn.exactla import ONE, ZERO, Mat, Vec, dot, matvec, nullspace, rank, unit
+from gptdyn.exactla import (
+    ONE,
+    ZERO,
+    Mat,
+    Vec,
+    affine_hull_dim,
+    dot,
+    matvec,
+    nullspace,
+    rank,
+    solve_linear,
+    unit,
+)
+from gptdyn.polytopes import (
+    MAX_ENUM_DIM,
+    Halfspace,
+    UnsupportedDimensionError,
+    canonical_halfspace,
+)
 from gptdyn.simplex import LpResult, LpStatus, _check_system
 from gptdyn.solver import ConstraintSystem
 from gptdyn.theories import TheorySpec, spanning_states
@@ -265,3 +286,75 @@ def unpruned_feasible_region_dim(a: Mat, b: Vec, nvars: int) -> int:
     if not equality_rows:
         return nvars
     return nvars - rank(tuple(equality_rows))
+
+
+# -- Reference enumerations: every ``dim``-subset of the input, kept as it
+# was so double description can be compared with it.
+
+
+def brute_facet_enumeration(vertices: Sequence[Vec]) -> list[Halfspace]:
+    """Irredundant H-representation of the convex hull of full-dimensional input.
+
+    Every ``dim``-subset of vertices that spans a unique hyperplane is
+    tested for support; supporting hyperplanes are exactly the facets when
+    the vertices affinely span the ambient space.  Each returned pair
+    ``(a, b)`` means ``a . x <= b``.
+    """
+    if not vertices:
+        raise ValueError("facet enumeration needs at least one vertex")
+    dim = len(vertices[0])
+    for v in vertices:
+        if len(v) != dim:
+            raise ValueError("vertices must share a common dimension")
+    if dim > MAX_ENUM_DIM:
+        raise UnsupportedDimensionError(
+            f"facet enumeration supports dimension <= {MAX_ENUM_DIM}, got {dim}"
+        )
+    if affine_hull_dim(vertices) != dim:
+        raise ValueError(
+            "vertices do not affinely span the ambient space; "
+            "enumerate within coordinates of the affine hull instead"
+        )
+    found: set[Halfspace] = set()
+    for subset in combinations(range(len(vertices)), dim):
+        rows = tuple(vertices[i] + (-ONE,) for i in subset)
+        kernel = nullspace(rows)
+        if len(kernel) != 1:
+            continue
+        normal, offset = kernel[0][:dim], kernel[0][dim]
+        slacks = [dot(normal, v) - offset for v in vertices]
+        if all(s <= 0 for s in slacks):
+            found.add(canonical_halfspace(normal, offset))
+        elif all(s >= 0 for s in slacks):
+            found.add(canonical_halfspace([-v for v in normal], -offset))
+    return sorted(found)
+
+
+def brute_vertex_enumeration(halfspaces: Sequence[Halfspace]) -> list[Vec]:
+    """All vertices of ``{x : a . x <= b}``, assumed bounded and full-dimensional.
+
+    Dual counterpart of :func:`brute_facet_enumeration`: intersect every
+    ``dim``-subset of boundary hyperplanes and keep the points satisfying
+    all constraints.
+    """
+    if not halfspaces:
+        raise ValueError("vertex enumeration needs at least one halfspace")
+    dim = len(halfspaces[0][0])
+    for a, _ in halfspaces:
+        if len(a) != dim:
+            raise ValueError("halfspace normals must share a common dimension")
+    if dim > MAX_ENUM_DIM:
+        raise UnsupportedDimensionError(
+            f"vertex enumeration supports dimension <= {MAX_ENUM_DIM}, got {dim}"
+        )
+    found: set[Vec] = set()
+    for subset in combinations(range(len(halfspaces)), dim):
+        a_rows = tuple(halfspaces[i][0] for i in subset)
+        b_vals = tuple(halfspaces[i][1] for i in subset)
+        solution = solve_linear(a_rows, b_vals)
+        if solution is None or solution.nullspace_basis:
+            continue
+        point = solution.particular
+        if all(dot(a, point) <= b for a, b in halfspaces):
+            found.add(point)
+    return sorted(found)

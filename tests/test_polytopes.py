@@ -1,12 +1,13 @@
 """Facet/vertex enumeration tests with explicit support oracles."""
 
 from fractions import Fraction
+from math import comb
 import random
 
 import pytest
 
 from gptdyn import polytopes
-from gptdyn.exactla import affine_hull_dim, dot, mat, vec
+from gptdyn.exactla import affine_hull_dim, dot, mat, rank, vec
 from gptdyn.polytopes import (
     UnsupportedDimensionError,
     facet_enumeration,
@@ -14,8 +15,14 @@ from gptdyn.polytopes import (
     is_bounded,
     vertex_enumeration,
 )
+from gptdyn.theories import BUILTIN_BUILDERS, PolytopeStateSpace, make_boxworld
 
-from helpers import unpruned_feasible_region_dim
+from helpers import (
+    brute_facet_enumeration,
+    brute_vertex_enumeration,
+    rational_mixture,
+    unpruned_feasible_region_dim,
+)
 
 
 def _assert_supporting(vertices, halfspaces, hull_dim):
@@ -237,3 +244,127 @@ def test_octahedron_3d_facet_count():
     _assert_supporting(octa, facets, 3)
     hull = affine_hull_dim(octa)
     assert hull == 3
+
+
+# -- Double description against the subset-by-subset reference.
+
+
+def _small_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def test_facet_enumeration_matches_brute_force_on_random_points():
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        points = [
+            tuple(_small_rational(rng) for _ in range(dim))
+            for _ in range(rng.randint(dim + 1, dim + 4))
+        ]
+        # Interior points (mixtures of the others) and duplicates.
+        for _ in range(rng.randint(0, 2)):
+            weights = [Fraction(rng.randint(1, 3)) for _ in points]
+            points.append(rational_mixture(points, weights))
+        points += rng.sample(points, rng.randint(0, 2))
+        rng.shuffle(points)
+        if affine_hull_dim(points) != dim:
+            with pytest.raises(ValueError):
+                facet_enumeration(points)
+            continue
+        assert facet_enumeration(points) == brute_facet_enumeration(points)
+        checked += 1
+    assert checked > 120
+
+
+def _random_halfspaces(rng: random.Random):
+    """Rows valid at a random centre, with the irregular cases the loader can meet.
+
+    Returns the halfspaces and the cases planted: ``equality`` (a row and its
+    negation at the same bound: a lower-dimensional region), ``empty`` (a row
+    contradicting another) and ``line`` (every normal misses the last
+    coordinate, so the region contains a line).  Repeated and scaled copies
+    of rows and rows loosened past the centre are redundant.
+    """
+    dim = rng.randint(1, 4)
+    centre = tuple(_small_rational(rng) for _ in range(dim))
+    cases = set()
+    line = dim > 1 and rng.random() < 0.1
+    if line:
+        cases.add("line")
+
+    def normal():
+        a = [_small_rational(rng) for _ in range(dim)]
+        if line:
+            a[-1] = Fraction(0)
+        return tuple(a)
+
+    halfspaces = []
+    for _ in range(rng.randint(1, dim + 3)):
+        a = normal()
+        slack = rng.choice((0, 0, Fraction(rng.randint(1, 4), rng.randint(1, 3))))
+        halfspaces.append((a, dot(a, centre) + slack))
+    if rng.random() < 0.25:
+        a = normal()
+        halfspaces += [(a, dot(a, centre)), (tuple(-x for x in a), -dot(a, centre))]
+        cases.add("equality")
+    if rng.random() < 0.15:
+        a, b = rng.choice(halfspaces)
+        halfspaces.append((tuple(-x for x in a), -b - Fraction(1, rng.randint(1, 3))))
+        cases.add("empty")
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(halfspaces)
+        scale = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        halfspaces.append((tuple(scale * x for x in a), scale * b + rng.choice((0, 1))))
+    rng.shuffle(halfspaces)
+    return halfspaces, cases
+
+
+def test_vertex_enumeration_matches_brute_force_on_random_halfspaces():
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(200):
+        halfspaces, cases = _random_halfspaces(rng)
+        vertices = vertex_enumeration(halfspaces)
+        assert vertices == brute_vertex_enumeration(halfspaces)
+        if cases & {"empty", "line"}:
+            assert vertices == []
+        dim = len(halfspaces[0][0])
+        if vertices and not is_bounded(halfspaces):
+            cases.add("unbounded")
+        if not vertices and rank(tuple(a for a, _ in halfspaces)) == dim:
+            cases.add("no vertex, full rank")
+        if vertices:
+            cases.add("vertices")
+        seen |= cases
+    assert seen == {
+        "equality", "empty", "line", "unbounded", "no vertex, full rank", "vertices"
+    }
+
+
+def test_dimension_zero_matches_brute_force():
+    point = ()
+    assert facet_enumeration([point]) == brute_facet_enumeration([point]) == []
+    for halfspaces in ([((), Fraction(1))], [((), Fraction(0)), ((), Fraction(-1))]):
+        assert vertex_enumeration(halfspaces) == brute_vertex_enumeration(halfspaces)
+
+
+def test_enumerations_match_brute_force_on_theories():
+    # The normalised slices of the polytope builtins and box-worlds, as the
+    # loaders see them.
+    theories = [build() for build in BUILTIN_BUILDERS.values()]
+    theories += [
+        make_boxworld(*so) for so in ((2, 3), (4, 2), (2, 4), (3, 3), (5, 2), (6, 2))
+    ]
+    for t in theories:
+        space = t.state_space
+        if not isinstance(space, PolytopeStateSpace):
+            continue
+        vertices = [v[1:] for v in space.vertices]
+        halfspaces = [(g[1:], -g[0]) for g in space.cone_facets]
+        assert vertex_enumeration(halfspaces) == brute_vertex_enumeration(halfspaces)
+        # Subset by subset, the vertices of box-worlds (2,4), (3,3), (5,2)
+        # and (6,2) take seconds to minutes; their facets are checked by
+        # loading their configs instead.
+        if comb(len(vertices), len(vertices[0])) <= 2000:
+            assert facet_enumeration(vertices) == brute_facet_enumeration(vertices)

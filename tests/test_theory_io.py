@@ -9,6 +9,7 @@ from gptdyn.polytopes import UnsupportedDimensionError
 from gptdyn.theories import (
     BallStateSpace,
     TheoryValidationError,
+    make_boxworld,
     make_gbit,
     membership,
 )
@@ -137,6 +138,14 @@ def test_unknown_keys_rejected():
             '{"measurements": [{"label": "Z", "outcomes": 2, "role": "branch"}],'
             ' "state_space": {"type": "sphere"}}'
         )
+
+
+@pytest.mark.parametrize("settings, outcomes", [(2, 4), (3, 3), (5, 2), (6, 2)])
+def test_boxworld_vertex_configs_load(settings, outcomes):
+    # Minimal dimensions 7, 7, 6 and 7, with 16 to 64 vertices: the facets
+    # derived from the vertices must be the ones the builder writes down.
+    t = make_boxworld(settings, outcomes)
+    assert load_theory(dump_theory(t)) == t
 
 
 def test_high_dimensional_vertices_need_halfspaces():
