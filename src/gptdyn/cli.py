@@ -23,31 +23,14 @@ from .solver import (
     verify_main_theorem,
     verify_transformation,
 )
-from .theories import (
-    BUILTIN_BUILDERS,
-    DegenerateTheoryError,
-    TheorySpec,
-    TheoryValidationError,
-    UnsupportedRepresentationError,
-    builtin_theory,
-)
-from .polytopes import UnsupportedDimensionError
+from .theories import BUILTIN_BUILDERS, TheorySpec, builtin_theory
 from .theory_io import (
-    ConfigParseError,
     load_theory_file,
     load_transformation_file,
     render_json,
 )
 
-_USER_ERRORS = (
-    ConfigParseError,
-    TheoryValidationError,
-    DegenerateTheoryError,
-    UnsupportedDimensionError,
-    UnsupportedRepresentationError,
-    ValueError,
-    OSError,
-)
+_USER_ERRORS = (ValueError, OSError)
 
 _BRANCH_ALIASES = {"up": 0, "low": 1}
 

@@ -21,6 +21,14 @@ system of linear inequalities in the free parameters, so the surviving
 family is itself a polytope whose dimension exact LPs decide.  For the
 round state space the family is not polyhedral; instead an explicit family
 of rational orthogonal phase-plane maps is verified member by member.
+
+Verification is exact on both kinds of state space.  A polytope is kept
+when every vertex image passes membership (convexity does the rest).  With
+the branch rows pinned, the ball is kept exactly when both branch poles map
+to themselves and the 2x2 X/Y block ``M`` of the expectation-picture map is
+a contraction, ``I - M^T M >= 0``: both diagonal entries and the determinant
+of that matrix are nonnegative rationals.  When such a map fails, the
+report names a valid state whose image membership rejects.
 """
 
 from __future__ import annotations
@@ -386,47 +394,42 @@ def ball_candidate_transforms(t: TheorySpec) -> tuple[Mat, ...]:
     return tuple(_embed_phase_block(t, block) for block in blocks)
 
 
-_PYTHAGOREAN_PAIRS = (
-    (Fraction(3, 5), Fraction(4, 5)),
-    (Fraction(4, 5), Fraction(3, 5)),
-    (Fraction(5, 13), Fraction(12, 13)),
-    (Fraction(8, 17), Fraction(15, 17)),
-)
+def _ball_escapes(t: TheorySpec, transform: Mat) -> list[Vec]:
+    """Valid states that a map with pinned branch rows takes out of the ball.
 
-_RATIONAL_TRIPLES = (
-    (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)),
-    (Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)),
-    (Fraction(3, 13), Fraction(4, 13), Fraction(12, 13)),
-)
-
-
-def _ball_probe_states(t: TheorySpec) -> list[Vec]:
-    """Deterministic rational sphere points plus a few interior states."""
-    points: list[tuple[Fraction, Fraction, Fraction]] = []
-    for axis in range(3):
-        for sign in (ONE, -ONE):
-            p = [ZERO, ZERO, ZERO]
-            p[axis] = sign
-            points.append(tuple(p))
-    for c, s in _PYTHAGOREAN_PAIRS:
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            for si in (ONE, -ONE):
-                for sj in (ONE, -ONE):
-                    p = [ZERO, ZERO, ZERO]
-                    p[i] = si * c
-                    p[j] = sj * s
-                    points.append(tuple(p))
-    for triple in _RATIONAL_TRIPLES:
-        points.append(triple)
-        points.append((-triple[0], triple[1], -triple[2]))
-    points.append((ZERO, ZERO, ZERO))
+    Such a map keeps the ball exactly when both branch poles stay fixed and
+    the X/Y block ``M`` of its expectation matrix is a contraction: ``G = I -
+    M^T M`` is positive semidefinite, i.e. both diagonal entries and the
+    determinant are >= 0.  Then there are none; otherwise the moving poles
+    are returned, or one pure state whose X/Y part points along a ``w`` with
+    ``w^T G w < 0``.
+    """
     to_min = expectation_to_minimal_matrix(t)
-    states = [matvec(to_min, (ONE,) + p) for p in points]
-    half = Fraction(1, 2)
-    states.extend(
-        tuple(half * x for x in matvec(to_min, (ONE,) + p)) for p in points[:12]
-    )
-    return states
+    poles = [matvec(to_min, (ONE, z, ZERO, ZERO)) for z in (ONE, -ONE)]
+    moving = [p for p in poles if matvec(transform, p) != p]
+    if moving:
+        return moving
+    t_exp = matmul(minimal_to_expectation_matrix(t), matmul(transform, to_min))
+    (m11, m12), (m21, m22) = t_exp[2][2:], t_exp[3][2:]
+    g11 = 1 - m11 * m11 - m21 * m21
+    g22 = 1 - m12 * m12 - m22 * m22
+    g12 = -(m11 * m12 + m21 * m22)
+    if g11 >= 0 and g22 >= 0 and g11 * g22 - g12 * g12 >= 0:
+        return []
+    if g11 < 0:
+        w = (ONE, ZERO)
+    elif g22 < 0:
+        w = (ZERO, ONE)
+    elif g11 > 0:
+        w = (-g12, g11)  # w^T G w = g11 det G
+    else:
+        w = (g22 + 1, -g12)  # g11 = 0: w^T G w = -(g22 + 2) g12^2
+    # With a = |w|^2 and k = 2/(a + 1), the state (<Z>, <X>, <Y>) =
+    # ((a - 1)/(a + 1), k w) is pure, and its image (<Z>, k M w) has squared
+    # length 1 + k^2 (|M w|^2 - a) > 1.
+    a = w[0] * w[0] + w[1] * w[1]
+    k = 2 / (a + 1)
+    return [matvec(to_min, (ONE, (a - 1) / (a + 1), k * w[0], k * w[1]))]
 
 
 # -- verification ---------------------------------------------------------------------
@@ -454,40 +457,27 @@ def _verify_against(cs: ConstraintSystem, transform: Mat) -> VerificationReport:
     violations: list[tuple[Vec, Vec, str]] = []
     if isinstance(space, PolytopeStateSpace):
         method = "vertex-images"
-        exhaustive = True
         for v in space.vertices:
             image = matvec(transform, v)
             result = membership(t, StateVec(Rep.MINIMAL, image, t))
             if not result.is_inside:
                 violations.append((v, image, result.violation or "outside"))
     else:
-        to_exp = minimal_to_expectation_matrix(t)
-        to_min = expectation_to_minimal_matrix(t)
-        t_exp = matmul(to_exp, matmul(transform, to_min))
+        method = "contraction-block"
         rows_pinned = all(is_zero_vec(r) for r in branch_residuals)
-        coupling_zero = all(t_exp[r][c] == 0 for r in (2, 3) for c in (0, 1))
-        block = ((t_exp[2][2], t_exp[2][3]), (t_exp[3][2], t_exp[3][3]))
-        gram = matmul(
-            ((block[0][0], block[1][0]), (block[0][1], block[1][1])), block
-        )
-        if rows_pinned and coupling_zero and gram == identity(2):
-            method = "orthogonal-block"
-            exhaustive = True
-        else:
-            method = "probe-set"
-            exhaustive = False
-            for probe in _ball_probe_states(t):
-                image = matvec(transform, probe)
-                result = membership(t, StateVec(Rep.MINIMAL, image, t))
-                if not result.is_inside:
-                    violations.append((probe, image, result.violation or "outside"))
+        for state in _ball_escapes(t, transform) if rows_pinned else ():
+            image = matvec(transform, state)
+            result = membership(t, StateVec(Rep.MINIMAL, image, t))
+            if result.is_inside:  # pragma: no cover - the witnesses are exact
+                raise AssertionError("a contraction-block witness stayed in the ball")
+            violations.append((state, image, result.violation))
     return VerificationReport(
         branch=cs.acting_branch,
         branch_row_residuals=branch_residuals,
         fixed_vector_residuals=fixed_residuals,
         membership_violations=tuple(violations),
         method=method,
-        exhaustive=exhaustive,
+        exhaustive=True,
     )
 
 
@@ -533,11 +523,6 @@ def allowed_transform_set(t: TheorySpec, branch: int) -> AllowedTransformSet:
         state_preserving=preserving,
         forced_fixed_count=_forced_fixed_count(cs),
     )
-
-
-def allowed_set_dimension(ats: AllowedTransformSet) -> int | None:
-    """Dimension of the allowed family when finitely characterised, else None."""
-    return ats.family_dim()
 
 
 # -- top-level theorem checks ------------------------------------------------------------
@@ -717,7 +702,7 @@ def restriction_dynamics_tradeoff(
 
     def dims(t: TheorySpec) -> tuple[int | None, ...]:
         return tuple(
-            allowed_set_dimension(allowed_transform_set(t, b)) for b in range(len(fr))
+            allowed_transform_set(t, b).family_dim() for b in range(len(fr))
         )
 
     return compare_tradeoff(

@@ -32,13 +32,13 @@ from .exactla import (
     Vec,
     ZERO,
     dot,
+    matmul,
     matvec,
     unit,
     vec,
 )
 from .polytopes import (
     Halfspace,
-    UnsupportedDimensionError,
     canonical_halfspace,
     facet_enumeration,
     is_bounded,
@@ -282,17 +282,13 @@ def polytope_from_vertices(vertices: Mat) -> PolytopeStateSpace:
     """Derive the facets of the normalised slice by double description.
 
     Only possible for minimal dimension d <= 7 (slice dimension at most
-    ``MAX_ENUM_DIM`` = 6); beyond that the error says to supply halfspaces.
+    ``MAX_ENUM_DIM`` = 6); beyond that ``facet_enumeration`` raises
+    ``UnsupportedDimensionError``.  Halfspace configs share the limit, since
+    ``polytope_from_halfspaces`` enumerates vertices under the same cap.
     """
     if not vertices:
         raise TheoryValidationError("a polytope state space needs vertices")
-    slice_points = [v[1:] for v in vertices]
-    try:
-        slice_facets = facet_enumeration(slice_points)
-    except UnsupportedDimensionError as exc:
-        raise UnsupportedDimensionError(
-            f"{exc}; supply the halfspace representation in the theory config"
-        ) from None
+    slice_facets = facet_enumeration([v[1:] for v in vertices])
     cone = tuple((-b,) + a for a, b in slice_facets)
     return PolytopeStateSpace(vertices=tuple(vertices), cone_facets=cone)
 
@@ -394,14 +390,10 @@ def expectation_to_prob_matrix(t: TheorySpec) -> Mat:
 
 
 def expectation_to_minimal_matrix(t: TheorySpec) -> Mat:
-    from .exactla import matmul
-
     return matmul(prob_to_minimal_matrix(t), expectation_to_prob_matrix(t))
 
 
 def minimal_to_expectation_matrix(t: TheorySpec) -> Mat:
-    from .exactla import matmul
-
     return matmul(prob_to_expectation_matrix(t), minimal_to_prob_matrix(t))
 
 

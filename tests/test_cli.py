@@ -1,12 +1,19 @@
 """Command-line interface behaviour: commands, formats, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from gptdyn.cli import main
-from gptdyn.exactla import identity
-from gptdyn.theories import make_gbit
+from gptdyn.exactla import ZERO, identity, matmul
+from gptdyn.theories import (
+    expectation_to_minimal_matrix,
+    make_boxworld,
+    make_gbit,
+    make_qubit,
+    minimal_to_expectation_matrix,
+)
 from gptdyn.theory_io import dump_theory, dump_transformation, render_json
 
 
@@ -93,6 +100,35 @@ def test_verify_failing_transform_reports_violation(capsys, tmp_path):
     assert "violation" in out
 
 
+def test_verify_qubit_stretch_fails_with_witness(capsys, tmp_path):
+    # (1001/1000) u u^T with u = (12/13, 5/13) on the X/Y block of the qubit.
+    t = make_qubit()
+    u = (Fraction(12, 13), Fraction(5, 13))
+    t_exp = identity(4)[:2] + tuple(
+        (ZERO, ZERO) + tuple(Fraction(1001, 1000) * a * b for b in u) for a in u
+    )
+    stretch = matmul(
+        expectation_to_minimal_matrix(t),
+        matmul(t_exp, minimal_to_expectation_matrix(t)),
+    )
+    transform = tmp_path / "stretch.json"
+    transform.write_text(dump_transformation(stretch), encoding="utf-8")
+    code, out, _ = run(
+        capsys,
+        "verify",
+        "--builtin",
+        "qubit",
+        "--branch",
+        "0",
+        "--transform",
+        str(transform),
+    )
+    assert code == 0
+    assert "verdict: fail" in out
+    assert "method: contraction-block (exhaustive: True)" in out
+    assert "violation: state (" in out
+
+
 def test_mub_defaults_to_all_measurements(capsys):
     code, out, _ = run(capsys, "mub", "--builtin", "qubit")
     assert code == 0
@@ -148,6 +184,15 @@ def test_missing_file_exits_2(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_theory_past_enumeration_limit_exits_2(capsys, tmp_path):
+    config = tmp_path / "boxworld34.json"
+    config.write_text(dump_theory(make_boxworld(3, 4)), encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--theory", str(config), "--branch", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_malformed_config_exits_2_with_line(capsys, tmp_path):

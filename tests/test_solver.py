@@ -1,5 +1,7 @@
 """Solver pipeline tests against hand-derived oracles."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,6 @@ from gptdyn.solver import (
     PolytopeFamily,
     StatePreservationNotApplicableError,
     UniqueIdentity,
-    allowed_set_dimension,
     allowed_transform_set,
     assemble_constraints,
     ball_candidate_transforms,
@@ -30,6 +31,7 @@ from gptdyn.theories import (
     make_gbit,
     make_octahedron,
     make_qubit,
+    membership,
     minimal_to_expectation_matrix,
 )
 
@@ -162,7 +164,7 @@ def test_gbit_allowed_set_is_identity_only():
         ats = allowed_transform_set(make_gbit(), branch)
         assert isinstance(ats.state_preserving, UniqueIdentity)
         assert ats.result_kind() == "unique_identity"
-        assert allowed_set_dimension(ats) == 0
+        assert ats.family_dim() == 0
 
 
 def test_qubit_allowed_set_has_verified_candidates():
@@ -175,7 +177,7 @@ def test_qubit_allowed_set_has_verified_candidates():
     assert any(tr != identity(4) for tr in transforms)
     for report in ats.state_preserving.reports:
         assert report.passed
-        assert report.method == "orthogonal-block"
+        assert report.method == "contraction-block"
         assert report.exhaustive
 
 
@@ -236,11 +238,11 @@ def test_qubit_rotation_verified_exactly():
     rotation = minimal_picture(t, t_exp)
     report = verify_transformation(t, rotation, 1)
     assert report.passed
-    assert report.method == "orthogonal-block"
+    assert report.method == "contraction-block"
     assert report.exhaustive
 
 
-def test_qubit_shrink_verified_by_probes():
+def test_qubit_shrink_verified_exactly():
     t = make_qubit()
     t_exp = mat(
         [
@@ -253,8 +255,8 @@ def test_qubit_shrink_verified_by_probes():
     shrink = minimal_picture(t, t_exp)
     report = verify_transformation(t, shrink, 1)
     assert report.passed
-    assert report.method == "probe-set"
-    assert not report.exhaustive
+    assert report.method == "contraction-block"
+    assert report.exhaustive
 
 
 def test_qubit_expansion_caught_by_probes():
@@ -288,6 +290,129 @@ def test_qubit_branch_coupling_caught():
     report = verify_transformation(t, coupled, 1)
     assert report.residuals_zero
     assert not report.passed
+
+
+def qubit_t_exp(block, coupling=((0, 0), (0, 0)), z_row=(0, 1, 0, 0)):
+    """Expectation-picture qubit map; ``coupling`` feeds (n, <Z>) into X/Y."""
+    return mat(
+        [
+            [1, 0, 0, 0],
+            list(z_row),
+            list(coupling[0]) + list(block[0]),
+            list(coupling[1]) + list(block[1]),
+        ]
+    )
+
+
+def assert_witnesses_exact(t, transform, report):
+    for state, image, why in report.membership_violations:
+        assert membership(t, t.minimal_state(state)).is_inside
+        assert image == matvec(transform, state)
+        rejected = membership(t, t.minimal_state(image))
+        assert not rejected.is_inside
+        assert why == rejected.violation
+
+
+def test_qubit_uut_stretch_fails():
+    # (1001/1000) u u^T stretches the pure state with X/Y direction u to
+    # length 1001/1000; it fixes both poles, so only the block can catch it.
+    t = make_qubit()
+    u = (Fraction(12, 13), Fraction(5, 13))
+    block = [[Fraction(1001, 1000) * a * b for b in u] for a in u]
+    grow = minimal_picture(t, qubit_t_exp(block))
+    report = verify_transformation(t, grow, 0)
+    assert report.residuals_zero
+    assert not report.passed
+    assert report.membership_violations
+    assert report.method == "contraction-block"
+    assert report.exhaustive
+    assert_witnesses_exact(t, grow, report)
+
+
+def _circle_point(q):
+    """Rational unit vector ((1 - q^2)/(1 + q^2), 2q/(1 + q^2))."""
+    return ((1 - q * q) / (1 + q * q), 2 * q / (1 + q * q))
+
+
+def _ball_blocks(rng):
+    """Random rational 2x2 blocks, many of them on or near the unit-norm boundary."""
+    blocks = []
+    for _ in range(100):
+        entries = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(4)]
+        blocks.append([entries[:2], entries[2:]])
+    for _ in range(50):
+        c, s = _circle_point(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        k = rng.choice((2, 10, 1000, 10**6))
+        f = 1 + Fraction(rng.choice((-1, 0, 1)), k)
+        blocks.append([[f * c, -f * s], [f * s, f * c]])  # scaled rotation
+        blocks.append([[f * c, f * s], [f * s, -f * c]])  # scaled reflection
+        u = _circle_point(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        blocks.append([[f * a * b for b in u] for a in u])  # scaled projection
+        # A unit first column makes I - M^T M vanish at e_X.
+        x, y = Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), 4)
+        blocks.append([[c, x], [s, y]])
+    return blocks
+
+
+def _reference_keeps_ball(t_exp):
+    """Pinned, uncoupled, and both singular values of the block at most 1."""
+    pinned = t_exp[0] == (1, 0, 0, 0) and t_exp[1] == (0, 1, 0, 0)
+    uncoupled = all(t_exp[r][c] == 0 for r in (2, 3) for c in (0, 1))
+    (a, b), (c, d) = t_exp[2][2:], t_exp[3][2:]
+    trace = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    return pinned and uncoupled and trace <= min(2, 1 + det * det)
+
+
+def _contraction_case(block):
+    """Which sign of ``G = I - M^T M`` decides whether ``M`` is a contraction."""
+    (a, b), (c, d) = block
+    g11, g22, g12 = 1 - a * a - c * c, 1 - b * b - d * d, -(a * b + c * d)
+    det = g11 * g22 - g12 * g12
+    if g11 < 0:
+        return "g11 < 0"
+    if g22 < 0:
+        return "g22 < 0"
+    if det < 0:
+        return "det < 0, g11 > 0" if g11 > 0 else "det < 0, g11 = 0"
+    return "contraction, det > 0" if det > 0 else "contraction, det = 0"
+
+
+def test_ball_verdict_matches_singular_value_reference():
+    rng = random.Random(5)
+    t = make_qubit()
+    small = Fraction(1, 1000)
+    to_min = expectation_to_minimal_matrix(t)
+    to_exp = minimal_to_expectation_matrix(t)
+    uncoupled, z_row = ((0, 0), (0, 0)), (0, 1, 0, 0)
+    blocks = _ball_blocks(rng)
+    seen = Counter()
+    for i, block in enumerate(blocks):
+        variants = [(uncoupled, z_row)]
+        if i % 4 == 0:
+            variants.append((((small, 0), (0, -small)), z_row))  # moves both poles
+        if i % 4 == 1:
+            variants.append((((small, small), (0, 0)), z_row))  # moves the <Z> = 1 pole
+        if i % 9 == 0:
+            variants.append((uncoupled, (0, 1, small, 0)))  # unpins the <Z> row
+        for coupling, row in variants:
+            t_exp = qubit_t_exp(block, coupling, row)
+            transform = matmul(to_min, matmul(t_exp, to_exp))
+            report = verify_transformation(t, transform, i % 2)
+            expected = _reference_keeps_ball(t_exp)
+            assert report.passed == expected, (block, coupling, row)
+            assert report.method == "contraction-block"
+            assert report.exhaustive
+            assert_witnesses_exact(t, transform, report)
+            if row != z_row:
+                seen["unpinned"] += 1
+                assert not report.membership_violations
+            else:
+                coupled = coupling != uncoupled
+                seen["coupled" if coupled else _contraction_case(block)] += 1
+                assert expected or report.membership_violations
+    assert len(blocks) >= 300
+    assert len(seen) == 8, seen
 
 
 def test_fixed_vector_residuals_detected():

@@ -1,5 +1,6 @@
 """Config and transformation file parsing."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -148,8 +149,22 @@ def test_boxworld_vertex_configs_load(settings, outcomes):
     assert load_theory(dump_theory(t)) == t
 
 
-def test_high_dimensional_vertices_need_halfspaces():
-    # 4 binary measurements: d = 8, slice dimension 7 is past the brute-force cap.
+def boxworld_halfspace_config(settings, outcomes):
+    """The box-world's facets as a ``polytope_h`` config."""
+    t = make_boxworld(settings, outcomes)
+    payload = json.loads(dump_theory(t))
+    payload["state_space"] = {
+        "type": "polytope_h",
+        "halfspaces": [
+            {"a": [rational_str(x) for x in g], "b": "0"}
+            for g in t.state_space.cone_facets
+        ],
+    }
+    return render_json(payload)
+
+
+def test_high_dimensional_configs_exceed_enumeration_limit():
+    # 7 binary measurements: d = 8, slice dimension 7 is past MAX_ENUM_DIM.
     measurements = [{"label": "Z", "outcomes": 2, "role": "branch"}] + [
         {"label": f"X{i}", "outcomes": 2, "role": "fiducial"} for i in range(1, 7)
     ]
@@ -162,8 +177,16 @@ def test_high_dimensional_vertices_need_halfspaces():
             "state_space": {"type": "polytope_v", "vertices": corners},
         }
     )
-    with pytest.raises(UnsupportedDimensionError, match="supply the halfspace"):
-        load_theory(config)
+    # Box-world (3,4) has slice dimension 9 in either representation.
+    configs = [
+        config,
+        dump_theory(make_boxworld(3, 4)),
+        boxworld_halfspace_config(3, 4),
+    ]
+    for text in configs:
+        with pytest.raises(UnsupportedDimensionError) as caught:
+            load_theory(text)
+        assert "halfspace" not in str(caught.value)
 
 
 def test_unbounded_halfspaces_rejected():
