@@ -4,14 +4,14 @@ Everything in this package that touches a state vector or a transformation
 matrix runs through these helpers.  The whole point of the library is to
 decide questions like "is the identity the *only* allowed transformation?",
 which is a degenerate question under floating point, so arithmetic is exact
-and no rounding ever happens.  These helpers work in
-:class:`fractions.Fraction`; the simplex tableau in :mod:`gptdyn.simplex`
-and the double description routine in :mod:`gptdyn.polytopes` keep integer
-rows instead (positive multiples of the rational rows, made by
-:func:`scale_to_integers` and combined by :func:`int_combination`), which
-gives the same answers at a fraction of the cost.  Dimensions are small,
-but the solver runs these helpers and its exact LPs many times per
-question, so their cost shows end to end.
+and no rounding ever happens.  Values are :class:`fractions.Fraction`, but
+the heavy loops keep integer rows (positive multiples of the rational rows,
+made by :func:`scale_to_integers` and combined by :func:`int_combination`),
+which gives the same answers at a fraction of the cost: the simplex tableau
+in :mod:`gptdyn.simplex`, and :func:`int_echelon`, the one elimination
+routine, behind :func:`rank`, :func:`nullspace`, :func:`solve_linear` and
+double description in :mod:`gptdyn.polytopes`.  Dimensions are small, but
+the solver runs these helpers and its exact LPs many times per question.
 
 Vectors are tuples of ``Fraction`` and matrices are tuples of row vectors.
 Tuples keep the values immutable, hashable and safe to share.
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -146,35 +147,53 @@ def mat_scale(a: Mat, s: Fraction | int) -> Mat:
     return tuple(vec_scale(row, s) for row in a)
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns the reduced rows and pivot columns."""
-    m = [list(row) for row in rows]
-    if not m:
-        return [], []
-    height, width = len(m), len(m[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(width):
-        pivot = next((r for r in range(row, height) if m[r][col] != 0), None)
+def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def int_echelon(
+    rows: Sequence[Sequence[int]], width: int
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Fraction-free elimination of integer rows, one at a time in input order.
+
+    Returns ``(picked, rays, kernel)``: the indices of the first independent
+    rows (their number is the rank), one dual ray per picked row (positive
+    on it, zero on the other picked rows), and a basis of the vectors
+    orthogonal to every row, all gcd-reduced integer vectors.  A row with a
+    nonzero product with some kernel vector takes the first such vector as
+    its ray, which is eliminated from the others; it stops once the rank
+    equals the width.  Kernel vector ``i`` ends at its own free column and
+    is 0 at the others', so scaled to 1 there it is the reduced row echelon
+    basis vector of that column, in column order.
+    """
+    kernel = [[int(i == j) for j in range(width)] for i in range(width)]
+    rays: list[list[int]] = []
+    picked: list[int] = []
+    for k, row in enumerate(rows):
+        if not kernel:
+            break
+        values = [int_dot(row, f) for f in kernel]
+        pivot = next((i for i, v in enumerate(values) if v), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(height):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * p for v, p in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == height:
-            break
-    return m, pivots
+        value = values.pop(pivot)
+        ray = kernel.pop(pivot)
+        if value < 0:
+            value, ray = -value, [-x for x in ray]
+        kernel = [int_combination(value, f, v, ray) for f, v in zip(kernel, values)]
+        rays = [int_combination(value, r, int_dot(row, r), ray) for r in rays]
+        rays.append(ray)
+        picked.append(k)
+    return picked, rays, kernel
+
+
+def _int_rows(a: Mat) -> list[list[int]]:
+    return [scale_to_integers(row)[0] for row in a]
 
 
 def rank(a: Mat) -> int:
-    _, pivots = _rref(a)
-    return len(pivots)
+    picked, _, _ = int_echelon(_int_rows(a), shape(a)[1])
+    return len(picked)
 
 
 @dataclass(frozen=True)
@@ -187,44 +206,41 @@ class LinearSolution:
 
 
 def nullspace(a: Mat) -> tuple[Vec, ...]:
-    """Basis of ``{x : A x = 0}``; empty iff the columns are independent."""
-    rows, cols = shape(a)
-    if rows == 0 or cols == 0:
-        return tuple(identity(cols)) if cols else ()
-    reduced, pivots = _rref(a)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(cols) if c not in pivot_set]
+    """Basis of ``{x : A x = 0}``; empty iff the columns are independent.
+
+    The reduced row echelon basis: one vector per free column, 1 there and
+    0 at the other free columns, in column order.
+    """
+    _, _, kernel = int_echelon(_int_rows(a), shape(a)[1])
     basis = []
-    for free in free_cols:
-        entry = [ZERO] * cols
-        entry[free] = ONE
-        for row, piv in zip(reduced, pivots):
-            entry[piv] = -row[free]
-        basis.append(tuple(entry))
+    for w in kernel:
+        last = next(x for x in reversed(w) if x)
+        basis.append(tuple(Fraction(x, last) for x in w))
     return tuple(basis)
 
 
 def solve_linear(a: Mat, b: Vec) -> LinearSolution | None:
-    """Exact Gaussian elimination on ``A x = b``.
+    """Exact solution of ``A x = b`` from the kernel of ``[A | -b]``.
 
     Returns the particular solution with all free variables set to zero
     together with the full nullspace basis, or ``None`` when the system is
-    inconsistent.
+    inconsistent.  The system is consistent exactly when the last column of
+    ``[A | -b]`` is free; its kernel vector, the last one, is then
+    ``(particular, 1)``, and the others end in 0 and are the nullspace
+    basis of ``A``.
     """
     rows, cols = shape(a)
     if rows != len(b):
         raise ValueError(f"system of {rows} rows with rhs of length {len(b)}")
-    augmented = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    reduced, pivots = _rref(augmented)
-    if cols in pivots:
+    augmented = tuple((*row, -rhs) for row, rhs in zip(a, b))
+    # A matrix of no rows has no columns either; [A | -b] is then 0 x 1.
+    kernel = nullspace(augmented) if rows else ((ONE,),)
+    if not kernel or kernel[-1][cols] == 0:
         return None
-    particular = [ZERO] * cols
-    for row, piv in zip(reduced, pivots):
-        particular[piv] = row[cols]
     return LinearSolution(
-        particular=tuple(particular),
-        nullspace_basis=nullspace(a),
-        rank=len(pivots),
+        particular=kernel[-1][:cols],
+        nullspace_basis=tuple(w[:cols] for w in kernel[:-1]),
+        rank=cols + 1 - len(kernel),
     )
 
 

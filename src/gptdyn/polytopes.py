@@ -4,8 +4,10 @@ Facet and vertex enumeration are one routine, the double description
 method (Motzkin et al. 1953; Fukuda & Prodon, "Double description method
 revisited", 1996), run on two cones: the cone of inequalities valid on a
 vertex set has the facets as its extreme rays, and the homogenised cone of
-a halfspace system has the vertices.  It adds one input row at a time and
-keeps only the extreme rays of the cone cut out so far, as gcd-reduced
+a halfspace system has the vertices.  It starts from the simplicial cone
+of the first independent input rows, which the shared integer elimination
+:func:`gptdyn.exactla.int_echelon` picks, adds the other rows one at a time
+and keeps only the extreme rays of the cone cut out so far, as gcd-reduced
 integer vectors, so its cost follows the number of rays, not the number of
 ``dim``-subsets of the input: the 64 vertices of box-world (6,2) convert in
 milliseconds.  ``MAX_ENUM_DIM`` bounds the dimension of both conversions,
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
 from typing import Sequence
 
 from .exactla import (
@@ -29,6 +30,8 @@ from .exactla import (
     ZERO,
     affine_hull_dim,
     int_combination,
+    int_dot,
+    int_echelon,
     rank,
     scale_to_integers,
 )
@@ -56,16 +59,13 @@ def canonical_halfspace(normal: Sequence[Fraction], offset: Fraction) -> Halfspa
     return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
 
 
-def _int_dot(u: list[int], v: list[int]) -> int:
-    return sum(map(mul, u, v))
-
-
 def _extreme_rays(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Extreme rays of the cone ``{y : row . y >= 0 for every row}``.
 
     The double description method: start from the simplicial cone of the
-    first ``n`` linearly independent rows (``n`` the width), then add the
-    other rows one at a time in input order.  A row keeps the rays on its
+    first ``n`` linearly independent rows (``n`` the width), whose extreme
+    rays are the dual rays :func:`int_echelon` returns, then add the other
+    rows one at a time in input order.  A row keeps the rays on its
     nonnegative side; each ray ``p`` on its positive side and ray ``q`` on its
     negative side that are adjacent give the new ray
     ``(row.p)*q - (row.q)*p`` on the row's hyperplane.  Two rays are adjacent
@@ -77,36 +77,16 @@ def _extreme_rays(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """
     ints = [scale_to_integers(row)[0] for row in rows]
     n = len(ints[0])
-    # The start: ``free`` is an integer basis of the vectors orthogonal to the
-    # rows picked so far, and ray ``i`` is positive on picked row ``i`` and
-    # zero on the others.  A row that is independent of the picked ones has a
-    # nonzero product with some free vector, which becomes its ray.
-    free = [[int(i == j) for j in range(n)] for i in range(n)]
-    rays: list[list[int]] = []
-    picked: list[int] = []
-    later: list[int] = []
-    for k, row in enumerate(ints):
-        values = [_int_dot(row, f) for f in free]
-        pivot = next((i for i, v in enumerate(values) if v), None)
-        if pivot is None:
-            later.append(k)
-            continue
-        value = values.pop(pivot)
-        ray = free.pop(pivot)
-        if value < 0:
-            value, ray = -value, [-x for x in ray]
-        free = [int_combination(value, f, v, ray) for f, v in zip(free, values)]
-        rays = [int_combination(value, r, _int_dot(row, r), ray) for r in rays]
-        rays.append(ray)
-        picked.append(k)
-    if free:
+    picked, rays, kernel = int_echelon(ints, n)
+    if kernel:
         return []
+    later = sorted(set(range(len(ints))).difference(picked))
     all_picked = sum(1 << k for k in picked)
     zeros = [all_picked & ~(1 << k) for k in picked]
     for k in later:
         row = ints[k]
         bit = 1 << k
-        values = [_int_dot(row, r) for r in rays]
+        values = [int_dot(row, r) for r in rays]
         new_rays = [r for r, v in zip(rays, values) if v >= 0]
         new_zeros = [z | bit if v == 0 else z for z, v in zip(zeros, values) if v >= 0]
         negative = [q for q, v in enumerate(values) if v < 0]
@@ -204,7 +184,7 @@ def is_bounded(halfspaces: Sequence[Halfspace]) -> bool:
 def _slacks(scaled: list[tuple[list[int], int]], point: Vec) -> list[int]:
     """``rhs - row . point`` per integer ``(row, rhs)``, times a positive factor."""
     ints, denom = scale_to_integers(point)
-    return [rhs * denom - _int_dot(row, ints) for row, rhs in scaled]
+    return [rhs * denom - int_dot(row, ints) for row, rhs in scaled]
 
 
 def feasible_region_dim(

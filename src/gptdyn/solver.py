@@ -487,19 +487,15 @@ def _verify_against(cs: ConstraintSystem, transform: Mat) -> VerificationReport:
 def count_forced_eigenvectors(t: TheorySpec, branch: int) -> int:
     """Independent states every branch-local transformation must leave fixed.
 
-    The fixed vectors of the other branches contribute their rank; one more
-    always comes from the acting branch itself (its unique certain state
+    The fixed vectors ``F`` of the other branches contribute their rank; one
+    more always comes from the acting branch itself (its unique certain state
     when the theory is conditionally restricted there, an exact stochastic
-    fixed point when the branch statistics leave a whole face free), and it
-    is independent because every other-branch fixed vector assigns the
-    acting branch probability zero.
+    fixed point when the branch statistics leave a whole face free).  It is
+    independent of ``F``: every vector of ``F`` gives the acting branch
+    probability 0, and a certain state of the acting branch gives it
+    probability 1, so the count is ``rank F + 1``.
     """
-    return _forced_fixed_count(assemble_constraints(t, branch))
-
-
-def _forced_fixed_count(cs: ConstraintSystem) -> int:
-    acting = conditional_state_set(cs.theory, cs.acting_branch).generators[0]
-    return rank(cs.fixed_vectors + (acting,))
+    return rank(assemble_constraints(t, branch).fixed_vectors) + 1
 
 
 def allowed_transform_set(t: TheorySpec, branch: int) -> AllowedTransformSet:
@@ -521,7 +517,8 @@ def allowed_transform_set(t: TheorySpec, branch: int) -> AllowedTransformSet:
         branch=branch,
         linear_stage=stage,
         state_preserving=preserving,
-        forced_fixed_count=_forced_fixed_count(cs),
+        # rank F + 1 with rank F = d - dim ker F; see count_forced_eigenvectors.
+        forced_fixed_count=t.dim - len(stage.kernel) + 1,
     )
 
 

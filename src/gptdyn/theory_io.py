@@ -33,7 +33,7 @@ from .theories import (
     polytope_from_vertices,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 class ConfigParseError(ValueError):
@@ -43,7 +43,7 @@ class ConfigParseError(ValueError):
 def parse_rational(text: object) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ConfigParseError(
             f"expected an exact rational like '3/4' or '2', got {text!r}"
         )

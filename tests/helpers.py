@@ -1,8 +1,9 @@
 """Shared test utilities: random exact states and mixtures, and references
-for the fast paths: the flat d*d-unknown form of the solver's equality
-stage, the rational-row simplex the integer-row one replaced, the
-one-LP-per-row implicit-equality search, and the subset-by-subset facet and
-vertex enumerations that double description replaced."""
+for the fast paths: the ``Fraction`` Gauss-Jordan elimination the integer
+one replaced, the flat d*d-unknown form of the solver's equality stage, the
+rational-row simplex the integer-row one replaced, the one-LP-per-row
+implicit-equality search, and the subset-by-subset facet and vertex
+enumerations that double description replaced."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -12,13 +13,16 @@ from typing import Sequence
 from gptdyn.exactla import (
     ONE,
     ZERO,
+    LinearSolution,
     Mat,
     Vec,
     affine_hull_dim,
     dot,
+    identity,
     matvec,
     nullspace,
     rank,
+    shape,
     solve_linear,
     unit,
 )
@@ -55,6 +59,85 @@ def random_member_state(theory: TheorySpec, rng: random.Random, subnormal: bool 
     return theory.minimal_state(entries)
 
 
+# -- Reference elimination: the ``Fraction`` Gauss-Jordan that the integer
+# echelon routine replaced, kept as it was so ranks and kernels can be compared.
+
+
+def fraction_rref(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns the reduced rows and pivot columns."""
+    m = [list(row) for row in rows]
+    if not m:
+        return [], []
+    height, width = len(m), len(m[0])
+    pivots: list[int] = []
+    row = 0
+    for col in range(width):
+        pivot = next((r for r in range(row, height) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [v * inv for v in m[row]]
+        for r in range(height):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [v - factor * p for v, p in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == height:
+            break
+    return m, pivots
+
+
+def fraction_rank(a: Mat) -> int:
+    _, pivots = fraction_rref(a)
+    return len(pivots)
+
+
+def fraction_nullspace(a: Mat) -> tuple[Vec, ...]:
+    """Basis of ``{x : A x = 0}``; empty iff the columns are independent."""
+    rows, cols = shape(a)
+    if rows == 0 or cols == 0:
+        return tuple(identity(cols)) if cols else ()
+    reduced, pivots = fraction_rref(a)
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(cols) if c not in pivot_set]
+    basis = []
+    for free in free_cols:
+        entry = [ZERO] * cols
+        entry[free] = ONE
+        for row, piv in zip(reduced, pivots):
+            entry[piv] = -row[free]
+        basis.append(tuple(entry))
+    return tuple(basis)
+
+
+def fraction_solve_linear(a: Mat, b: Vec) -> LinearSolution | None:
+    """Exact Gaussian elimination on ``A x = b``.
+
+    Returns the particular solution with all free variables set to zero
+    together with the full nullspace basis, or ``None`` when the system is
+    inconsistent.
+    """
+    rows, cols = shape(a)
+    if rows != len(b):
+        raise ValueError(f"system of {rows} rows with rhs of length {len(b)}")
+    augmented = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    reduced, pivots = fraction_rref(augmented)
+    if cols in pivots:
+        return None
+    particular = [ZERO] * cols
+    for row, piv in zip(reduced, pivots):
+        particular[piv] = row[cols]
+    return LinearSolution(
+        particular=tuple(particular),
+        nullspace_basis=fraction_nullspace(a),
+        rank=len(pivots),
+    )
+
+
 def flat_equations(cs: ConstraintSystem) -> tuple[Mat, Vec]:
     """``cs`` as ``A vec(T) = b`` over the row-major d*d entries of ``T``."""
     d = cs.theory.dim
@@ -78,7 +161,8 @@ def flat_free_directions(cs: ConstraintSystem) -> tuple[Mat, ...]:
     d = cs.theory.dim
     a, _ = flat_equations(cs)
     return tuple(
-        tuple(v[r * d : (r + 1) * d] for r in range(d)) for v in nullspace(a)
+        tuple(v[r * d : (r + 1) * d] for r in range(d))
+        for v in fraction_nullspace(a)
     )
 
 

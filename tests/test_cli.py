@@ -203,6 +203,17 @@ def test_malformed_config_exits_2_with_line(capsys, tmp_path):
     assert "line" in err
 
 
+def test_rational_with_trailing_newline_exits_2(capsys, tmp_path):
+    config = tmp_path / "newline.json"
+    text = dump_theory(make_gbit()).replace('"0"', '"0\\n"', 1)
+    assert '"0\\n"' in text
+    config.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--theory", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_bad_branch_label_exits_2(capsys):
     code, _, err = run(capsys, "solve", "--builtin", "gbit", "--branch", "sideways")
     assert code == 2

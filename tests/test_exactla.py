@@ -1,11 +1,15 @@
 """Exact linear algebra unit tests."""
 
+from collections import Counter
 from fractions import Fraction
 import random
 
 import pytest
 
+from helpers import fraction_nullspace, fraction_rank, fraction_solve_linear
+
 from gptdyn.exactla import (
+    LinearSolution,
     affine_hull_dim,
     dot,
     identity,
@@ -15,6 +19,7 @@ from gptdyn.exactla import (
     matvec,
     nullspace,
     rank,
+    shape,
     solve_linear,
     transpose,
     unit,
@@ -111,6 +116,48 @@ def test_random_systems_roundtrip_exactly():
         for basis_vec in solution.nullspace_basis:
             assert matvec(a, basis_vec) == zeros(rows)
         assert len(solution.nullspace_basis) == cols - solution.rank
+
+
+def _entry(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice((0, 0, 1, -1, rng.randint(-5, 5))), rng.randint(1, 4))
+
+
+def _low_rank_matrix(rng: random.Random, rows: int, cols: int):
+    """A rows x k times k x cols product of random factors, so of rank <= k."""
+    inner = rng.randint(0, max(rows, cols))
+    left = [[_entry(rng) for _ in range(inner)] for _ in range(rows)]
+    right = [[_entry(rng) for _ in range(cols)] for _ in range(inner)]
+    return tuple(
+        tuple(sum((x * y[j] for x, y in zip(row, right)), Fraction(0)) for j in range(cols))
+        for row in left
+    )
+
+
+def test_elimination_matches_fraction_reference():
+    # Rank, kernel basis (values and order), solutions and affine dimension
+    # from the integer echelon routine equal those of the Fraction reference.
+    assert solve_linear((), ()) == fraction_solve_linear((), ()) == LinearSolution((), (), 0)
+    rng = random.Random(6060)
+    kinds = Counter()
+    for _ in range(400):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        a = _low_rank_matrix(rng, rows, cols)
+        r = fraction_rank(a)
+        assert rank(a) == r
+        assert nullspace(a) == fraction_nullspace(a)
+        x = tuple(_entry(rng) for _ in range(shape(a)[1]))
+        for b in (matvec(a, x), tuple(_entry(rng) for _ in range(rows))):
+            expected = fraction_solve_linear(a, b)
+            assert solve_linear(a, b) == expected
+            kinds["inconsistent" if expected is None else "consistent"] += 1
+        if rows:
+            diffs = tuple(vec_sub(p, a[0]) for p in a[1:])
+            assert affine_hull_dim(a) == fraction_rank(diffs)
+        kinds["rank-deficient" if r < min(rows, cols) else "full rank"] += 1
+        if not rows or not cols:
+            kinds["zero-row" if not rows else "zero-width"] += 1
+        kinds["tall" if rows > cols else "wide" if rows < cols else "square"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_transpose_and_matmul_agree_with_hand_result():

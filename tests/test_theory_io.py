@@ -71,9 +71,15 @@ def test_parse_rational_values():
 
 
 def test_parse_rational_rejects_floats_and_junk():
-    for bad in ("0.5", "1e3", "1/0", "", "a/b", 0.5, True, None):
+    for bad in ("0.5", "1e3", "1/0", "", "a/b", "3/4\n", " 1", 0.5, True, None):
         with pytest.raises(ConfigParseError):
             parse_rational(bad)
+
+
+def test_vertex_with_trailing_newline_rejected():
+    # A regex ``$`` also matches before a final newline; the whole string must match.
+    with pytest.raises(ConfigParseError):
+        load_theory(GBIT_CONFIG.replace('["1", "1", "0"]', '["1", "1", "0\\n"]'))
 
 
 def test_load_gbit_config():
