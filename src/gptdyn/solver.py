@@ -18,12 +18,17 @@ once, applies row by row: the leftover freedom is spanned by the directions
 Stage two intersects it with state preservation: for polytope state spaces
 the image of every vertex must satisfy every facet, which is a finite
 system of linear inequalities in the free parameters, so the surviving
-family is itself a polytope whose dimension exact LPs decide.  For the
-round state space the family is not polyhedral; instead an explicit family
-of rational orthogonal phase-plane maps is verified member by member.
+family is itself a polytope whose dimension exact LPs decide.  The rows are
+formed and de-duplicated on the state space's integer vertex and facet
+rows; only the distinct ones become the ``Fraction`` rows the LPs take.
+For the round state space the family is not polyhedral; instead an
+explicit family of rational orthogonal phase-plane maps is verified member
+by member.
 
 Verification is exact on both kinds of state space.  A polytope is kept
-when every vertex image passes membership (convexity does the rest).  With
+when every vertex image lies in it (convexity does the rest): each facet is
+pulled back through ``T`` once and tested against the integer vertex rows,
+and membership words the violation of a vertex that fails.  With
 the branch rows pinned, the ball is kept exactly when both branch poles map
 to themselves and the 2x2 X/Y block ``M`` of the expectation-picture map is
 a contraction, ``I - M^T M >= 0``: both diagonal entries and the determinant
@@ -36,14 +41,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exactla import (
     Mat,
     ONE,
     Vec,
     ZERO,
-    dot,
     identity,
+    int_dot,
     is_zero_vec,
     mat_add,
     mat_scale,
@@ -51,6 +57,7 @@ from .exactla import (
     matvec,
     nullspace,
     rank,
+    scale_to_integers,
     unit,
     vec_sub,
     zeros,
@@ -300,26 +307,37 @@ def impose_state_preservation(
     k = stage.dim
     if k == 0:
         return UniqueIdentity()
-    seen: set[tuple[Vec, Fraction]] = set()
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
+    # In integers: kernel vector w_i = u_i / c over one denominator c, vertex
+    # v = x / s and facet g = h / e.  The pair's row and bound are then
+    # (h_r (u_i . x) for r, i; -(h . x) c) over the denominator e s c, and
+    # divided by the gcd of all of them they are a key that two pairs share
+    # exactly when their rational rows are equal.
+    scaled_kernel = [scale_to_integers(w) for w in stage.kernel]
+    c = lcm(*(scale for _, scale in scaled_kernel))
+    kernel = [[a * (c // scale) for a in u] for u, scale in scaled_kernel]
     free_rows = range(stage.first_free_row, t.dim)
     moving_facets = []
-    for g in space.cone_facets:
-        g_free = tuple(g[r] for r in free_rows)
-        if any(g_free):
-            moving_facets.append((g, g_free))
-    for v in space.vertices:
-        kernel_images = tuple(dot(w, v) for w in stage.kernel)
-        if not any(kernel_images):
+    for h, e in space.int_facets:
+        h_free = [h[r] for r in free_rows]
+        if any(h_free):
+            moving_facets.append((h, e, h_free))
+    seen: set[tuple[tuple[int, ...], int]] = set()
+    rows: list[Vec] = []
+    rhs: list[Fraction] = []
+    for x, s in space.int_vertices:
+        images = [int_dot(u, x) for u in kernel]
+        if not any(images):
             continue
-        for g, g_free in moving_facets:
-            coeffs = tuple(gr * x for gr in g_free for x in kernel_images)
-            bound = -dot(g, v)
-            key = (coeffs, bound)
+        for h, e, h_free in moving_facets:
+            numerators = [hr * y for hr in h_free for y in images]
+            numerators.append(-int_dot(h, x) * c)
+            denominator = e * s * c
+            common = gcd(denominator, *numerators)
+            key = (tuple(n // common for n in numerators), denominator // common)
             if key not in seen:
                 seen.add(key)
-                rows.append(coeffs)
+                *coeffs, bound = (Fraction(n, key[1]) for n in key[0])
+                rows.append(tuple(coeffs))
                 rhs.append(bound)
     a = tuple(rows)
     b = tuple(rhs)
@@ -457,11 +475,24 @@ def _verify_against(cs: ConstraintSystem, transform: Mat) -> VerificationReport:
     violations: list[tuple[Vec, Vec, str]] = []
     if isinstance(space, PolytopeStateSpace):
         method = "vertex-images"
-        for v in space.vertices:
+        # The image T v of vertex v = x / s is inside when 0 <= n <= 1 and
+        # g . T v <= 0 for every facet g = h / e.  With T = M / m in integers,
+        # that is 0 <= M_0 . x <= m s and (h^T M) . x <= 0: each facet is
+        # pulled back through M once.  Membership words the violation of a
+        # vertex that fails.
+        entries, m = scale_to_integers([a for row in transform for a in row])
+        columns = [entries[j :: d] for j in range(d)]
+        n_row = entries[:d]
+        pulled_back = [[int_dot(h, col) for col in columns] for h, _ in space.int_facets]
+        for v, (x, s) in zip(space.vertices, space.int_vertices):
+            n = int_dot(n_row, x)
+            if 0 <= n <= m * s and all(int_dot(p, x) <= 0 for p in pulled_back):
+                continue
             image = matvec(transform, v)
             result = membership(t, StateVec(Rep.MINIMAL, image, t))
-            if not result.is_inside:
-                violations.append((v, image, result.violation or "outside"))
+            if result.is_inside:  # pragma: no cover - both tests are exact
+                raise AssertionError("a vertex image failed on integers only")
+            violations.append((v, image, result.violation))
     else:
         method = "contraction-block"
         rows_pinned = all(is_zero_vec(r) for r in branch_residuals)

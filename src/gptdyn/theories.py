@@ -22,9 +22,10 @@ fixed-state constraints of the solver linear rather than affine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .exactla import (
     Mat,
@@ -32,8 +33,10 @@ from .exactla import (
     Vec,
     ZERO,
     dot,
+    int_dot,
     matmul,
     matvec,
+    scale_to_integers,
     unit,
     vec,
 )
@@ -85,14 +88,38 @@ class PolytopeStateSpace:
     member ``x``; together with ``0 <= n <= 1`` they are the exact
     membership test.  Both are stored sorted so equal state spaces compare
     equal no matter how they were constructed.
+
+    ``int_vertices`` and ``int_facets`` hold the same rows in integers, made
+    once when the space is built: each row as ``(numerators, scale)``, the
+    row times the lcm of its denominators and that positive lcm
+    (:func:`~gptdyn.exactla.scale_to_integers`), in the order of the
+    rational rows.  Signs of dot products are the same on them, so the
+    (vertex, facet) loops of validation, membership, the solver and
+    verification run on them.  They are derived, so they take no part in
+    ``==``, ``hash`` or ``repr``.
     """
 
     vertices: Mat
     cone_facets: Mat
+    int_vertices: tuple[tuple[tuple[int, ...], int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    int_facets: tuple[tuple[tuple[int, ...], int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
         object.__setattr__(self, "cone_facets", tuple(sorted(set(self.cone_facets))))
+        object.__setattr__(self, "int_vertices", _scaled_rows(self.vertices))
+        object.__setattr__(self, "int_facets", _scaled_rows(self.cone_facets))
+
+
+def _scaled_rows(rows: Mat) -> tuple[tuple[tuple[int, ...], int], ...]:
+    return tuple(
+        (tuple(numerators), scale)
+        for numerators, scale in map(scale_to_integers, rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -212,6 +239,16 @@ class TheorySpec:
             raise ValueError(f"expectation state needs {self.dim} entries, got {len(v)}")
         return StateVec(Rep.EXPECTATION, v, self)
 
+    # -- conversion matrices, built on first use ------------------------------
+
+    @cached_property
+    def _expectation_to_minimal(self) -> Mat:
+        return matmul(prob_to_minimal_matrix(self), expectation_to_prob_matrix(self))
+
+    @cached_property
+    def _minimal_to_expectation(self) -> Mat:
+        return matmul(prob_to_expectation_matrix(self), minimal_to_prob_matrix(self))
+
 
 def _validate_theory(t: TheorySpec) -> None:
     if not t.measurements:
@@ -248,24 +285,33 @@ def _validate_theory(t: TheorySpec) -> None:
         raise TheoryValidationError("a polytope state space needs vertices")
     if not space.cone_facets:
         raise TheoryValidationError("a polytope state space needs facets")
-    for v in space.vertices:
+    # On the integer rows a vertex v = x / s has n = 1 iff x[0] = s, and each
+    # probability p = q / s lies in [0, 1] iff 0 <= q <= s.
+    blocks = []
+    offset = 1
+    for m in t.measurements:
+        blocks.append((m.label, offset, offset + m.outcomes - 1))
+        offset += m.outcomes - 1
+    for v, (x, s) in zip(space.vertices, space.int_vertices):
         if len(v) != t.dim:
             raise TheoryValidationError(
                 f"vertex {_fmt(v)} has {len(v)} entries, expected {t.dim}"
             )
-        if v[0] != 1:
+        if x[0] != s:
             raise TheoryValidationError(f"vertex {_fmt(v)} is not normalised (n != 1)")
-        for m in t.measurements:
-            for j, p in enumerate(t.full_probabilities(v, m.label)):
-                if p < 0 or p > 1:
+        for label, start, stop in blocks:
+            kept = x[start:stop]
+            for j, q in enumerate((*kept, s - sum(kept))):
+                if q < 0 or q > s:
                     raise TheoryValidationError(
-                        f"vertex {_fmt(v)}: p({m.label}={j}) = {p} is outside [0, 1]"
+                        f"vertex {_fmt(v)}: p({label}={j}) = {Fraction(q, s)} "
+                        "is outside [0, 1]"
                     )
-    for g in space.cone_facets:
+    for g, (h, _) in zip(space.cone_facets, space.int_facets):
         if len(g) != t.dim:
             raise TheoryValidationError("facet dimension does not match the theory")
-        for v in space.vertices:
-            if dot(g, v) > 0:
+        for v, (x, _) in zip(space.vertices, space.int_vertices):
+            if int_dot(h, x) > 0:
                 raise TheoryValidationError(
                     f"vertex {_fmt(v)} violates the supplied facet {_fmt(g)}"
                 )
@@ -390,11 +436,13 @@ def expectation_to_prob_matrix(t: TheorySpec) -> Mat:
 
 
 def expectation_to_minimal_matrix(t: TheorySpec) -> Mat:
-    return matmul(prob_to_minimal_matrix(t), expectation_to_prob_matrix(t))
+    """Expectation to minimal picture; built once per theory and then shared."""
+    return t._expectation_to_minimal
 
 
 def minimal_to_expectation_matrix(t: TheorySpec) -> Mat:
-    return matmul(prob_to_expectation_matrix(t), minimal_to_prob_matrix(t))
+    """Minimal to expectation picture; built once per theory and then shared."""
+    return t._minimal_to_expectation
 
 
 def _require_binary(t: TheorySpec) -> None:
@@ -481,8 +529,11 @@ def membership(t: TheorySpec, s: StateVec) -> MembershipResult:
                 f"squared expectation length {radius_sq} exceeds n^2 = {n * n}",
             )
         return MembershipResult(True)
-    for g in space.cone_facets:
-        if dot(g, x) > 0:
+    if len(x) != t.dim:
+        raise ValueError(f"state of length {len(x)} in a theory of dimension {t.dim}")
+    scaled, _ = scale_to_integers(x)
+    for g, (h, _) in zip(space.cone_facets, space.int_facets):
+        if int_dot(h, scaled) > 0:
             return MembershipResult(False, f"violates facet {_fmt(g)} . x <= 0")
     return MembershipResult(True)
 

@@ -1,12 +1,13 @@
-"""Shared test utilities: random exact states and mixtures, and references
-for the fast paths: the ``Fraction`` Gauss-Jordan elimination the integer
-one replaced, the flat d*d-unknown form of the solver's equality stage, the
-rational-row simplex the integer-row one replaced, the one-LP-per-row
-implicit-equality search, and the subset-by-subset facet and vertex
-enumerations that double description replaced."""
+"""Shared test utilities: random exact states, mixtures and theories, and
+references for the fast paths: the ``Fraction`` Gauss-Jordan elimination the
+integer one replaced, the flat d*d-unknown form of the solver's equality
+stage, the rational-row simplex the integer-row one replaced, the
+one-LP-per-row implicit-equality search, the subset-by-subset facet and
+vertex enumerations that double description replaced, and the ``Fraction``
+(vertex, facet) checks that the integer rows of a polytope space replaced."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 import random
 from typing import Sequence
 
@@ -25,6 +26,7 @@ from gptdyn.exactla import (
     shape,
     solve_linear,
     unit,
+    vec_sub,
 )
 from gptdyn.polytopes import (
     MAX_ENUM_DIM,
@@ -33,8 +35,20 @@ from gptdyn.polytopes import (
     canonical_halfspace,
 )
 from gptdyn.simplex import LpResult, LpStatus, _check_system
-from gptdyn.solver import ConstraintSystem
-from gptdyn.theories import TheorySpec, spanning_states
+from gptdyn.solver import ConstraintSystem, VerificationReport
+from gptdyn.theories import (
+    MeasurementSpec,
+    MembershipResult,
+    PolytopeStateSpace,
+    Rep,
+    Role,
+    StateVec,
+    TheorySpec,
+    polytope_from_halfspaces,
+    polytope_from_vertices,
+    spanning_states,
+    to_minimal,
+)
 
 
 def rational_mixture(rows, weights):
@@ -57,6 +71,66 @@ def random_member_state(theory: TheorySpec, rng: random.Random, subnormal: bool 
         scale = Fraction(rng.randint(1, 6), 6)
         entries = tuple(scale * x for x in entries)
     return theory.minimal_state(entries)
+
+
+HALVES = (Fraction(0), Fraction(1, 2), Fraction(1))
+SIXTHS = tuple(sorted({Fraction(p, q) for q in range(1, 7) for p in range(q + 1)}))
+
+
+def random_v_theory(rng: random.Random, grid: Sequence[Fraction] = HALVES) -> TheorySpec:
+    """A seeded polytope theory of dimension 4 with a 2- or 3-outcome branch.
+
+    Each branch gets one or two certain vertices, and a few more vertices
+    leave the branch uncertain; coordinates are on ``grid``, by default
+    {0, 1/2, 1}.
+    """
+    outcomes = rng.choice((2, 3))
+    fiducials = ("X", "Y")[: 4 - outcomes]
+    measurements = (MeasurementSpec("Z", outcomes, Role.BRANCH),) + tuple(
+        MeasurementSpec(label, 2, Role.FIDUCIAL) for label in fiducials
+    )
+    # Kept branch probabilities p(Z=0), ..., p(Z=N-2); the last is 1 - their sum.
+    blocks = list(product(grid, repeat=outcomes - 1))
+    certain = [
+        tuple(Fraction(int(i == b)) for i in range(outcomes - 1)) for b in range(outcomes)
+    ]
+    uncertain = [p for p in blocks if p not in certain and sum(p) <= 1]
+    while True:
+        chosen = [c for c in certain for _ in range(rng.randint(1, 2))]
+        chosen += [rng.choice(uncertain) for _ in range(rng.randint(0, 3))]
+        points = {(Fraction(1), *z, *(rng.choice(grid) for _ in fiducials)) for z in chosen}
+        if affine_hull_dim([p[1:] for p in points]) == 3:
+            vertices = tuple(sorted(points))
+            return TheorySpec(measurements, polytope_from_vertices(vertices))
+
+
+def probability_rows(t: TheorySpec) -> Mat:
+    """Cone rows ``g . x <= 0`` saying every outcome probability is >= 0."""
+    rows = []
+    offset = 1
+    for m in t.measurements:
+        for j in range(m.outcomes - 1):
+            rows.append(tuple(-ONE if c == offset + j else ZERO for c in range(t.dim)))
+        rows.append(
+            tuple(
+                -ONE if c == 0 else ONE if offset <= c < offset + m.outcomes - 1 else ZERO
+                for c in range(t.dim)
+            )
+        )
+        offset += m.outcomes - 1
+    return tuple(rows)
+
+
+def random_h_theory(rng: random.Random, grid: Sequence[Fraction] = SIXTHS) -> TheorySpec:
+    """A theory loaded from the halfspaces of a random V-theory on ``grid``.
+
+    The V-theory's facets come with every probability bound, most of them
+    redundant, so the loaded space carries facets no vertex makes tight.
+    """
+    base = random_v_theory(rng, grid)
+    rows = base.state_space.cone_facets + probability_rows(base)
+    space = polytope_from_halfspaces([(g, ZERO) for g in rows])
+    return TheorySpec(base.measurements, space)
 
 
 # -- Reference elimination: the ``Fraction`` Gauss-Jordan that the integer
@@ -442,3 +516,76 @@ def brute_vertex_enumeration(halfspaces: Sequence[Halfspace]) -> list[Vec]:
         if all(dot(a, point) <= b for a, b in halfspaces):
             found.add(point)
     return sorted(found)
+
+
+# -- Reference (vertex, facet) checks: the ``Fraction`` dot products that the
+# integer rows of a polytope space replaced, kept as they were so errors,
+# membership results and verification reports can be compared.
+
+
+def _fmt(values: Vec) -> str:
+    return "(" + ", ".join(str(v) for v in values) + ")"
+
+
+def fraction_validation_error(
+    measurements: tuple[MeasurementSpec, ...], space: PolytopeStateSpace
+) -> str | None:
+    """The message theory validation gives a polytope space, or None if it is valid."""
+    dim = 1 + sum(m.outcomes - 1 for m in measurements)
+    for v in space.vertices:
+        if len(v) != dim:
+            return f"vertex {_fmt(v)} has {len(v)} entries, expected {dim}"
+        if v[0] != 1:
+            return f"vertex {_fmt(v)} is not normalised (n != 1)"
+        offset = 1
+        for m in measurements:
+            kept = v[offset : offset + m.outcomes - 1]
+            offset += m.outcomes - 1
+            for j, p in enumerate(kept + (v[0] - sum(kept, ZERO),)):
+                if p < 0 or p > 1:
+                    return f"vertex {_fmt(v)}: p({m.label}={j}) = {p} is outside [0, 1]"
+    for g in space.cone_facets:
+        if len(g) != dim:
+            return "facet dimension does not match the theory"
+        for v in space.vertices:
+            if dot(g, v) > 0:
+                return f"vertex {_fmt(v)} violates the supplied facet {_fmt(g)}"
+    return None
+
+
+def fraction_membership(t: TheorySpec, s: StateVec) -> MembershipResult:
+    """Polytope membership with one ``Fraction`` dot product per facet."""
+    x = to_minimal(s).entries
+    n = x[0]
+    if n < 0:
+        return MembershipResult(False, f"normalisation n = {n} is negative")
+    if n > 1:
+        return MembershipResult(False, f"normalisation n = {n} exceeds 1")
+    for g in t.state_space.cone_facets:
+        if dot(g, x) > 0:
+            return MembershipResult(False, f"violates facet {_fmt(g)} . x <= 0")
+    return MembershipResult(True)
+
+
+def fraction_verify(cs: ConstraintSystem, transform: Mat) -> VerificationReport:
+    """Verification of a map on a polytope theory: every vertex image by membership."""
+    t = cs.theory
+    ident = identity(t.dim)
+    violations = []
+    for v in t.state_space.vertices:
+        image = matvec(transform, v)
+        result = fraction_membership(t, StateVec(Rep.MINIMAL, image, t))
+        if not result.is_inside:
+            violations.append((v, image, result.violation))
+    return VerificationReport(
+        branch=cs.acting_branch,
+        branch_row_residuals=tuple(
+            vec_sub(transform[r], ident[r]) for r in range(cs.branch_row_count)
+        ),
+        fixed_vector_residuals=tuple(
+            vec_sub(matvec(transform, v), v) for v in cs.fixed_vectors
+        ),
+        membership_violations=tuple(violations),
+        method="vertex-images",
+        exhaustive=True,
+    )

@@ -1,9 +1,11 @@
 """The row-decoupled equality stage against the flat d*d-unknown system."""
 
+import random
+
 import pytest
 
 from gptdyn import solver
-from gptdyn.exactla import identity, matvec, rank, vec
+from gptdyn.exactla import dot, identity, matvec, rank, vec
 from gptdyn.solver import (
     ConstraintSystem,
     PolytopeFamily,
@@ -24,7 +26,13 @@ from gptdyn.theories import (
 )
 from gptdyn.theory_io import load_theory
 
-from helpers import direction_halfspaces, flat_equations, flat_free_directions
+from helpers import (
+    SIXTHS,
+    direction_halfspaces,
+    flat_equations,
+    flat_free_directions,
+    random_v_theory,
+)
 from test_theory_io import DIAMOND_H_CONFIG
 
 
@@ -69,6 +77,12 @@ THEORIES = {
     "boxworld33": lambda: make_boxworld(3, 3),
     "diamond_h": lambda: load_theory(DIAMOND_H_CONFIG),
 }
+# Seeded theories with vertex denominators up to 6.
+RANDOM_NAMES = [f"random_v{seed}" for seed in range(12)]
+THEORIES.update(
+    (name, lambda seed=seed: random_v_theory(random.Random(seed), SIXTHS))
+    for seed, name in enumerate(RANDOM_NAMES)
+)
 
 CASES = [
     (name, branch)
@@ -157,6 +171,27 @@ def test_halfspaces_equal_direction_reference(name, branch, monkeypatch):
         assert (result.halfspace_matrix, result.halfspace_rhs) == reference
     else:
         assert isinstance(result, UniqueIdentity)
+
+
+def test_some_repeated_row_comes_from_two_integer_scalings():
+    # impose_state_preservation keys each pair's row by its integer numerators
+    # over the denominator (facet scale) * (vertex scale) * (kernel scale),
+    # divided by their gcd.  Equal rows from pairs of different scale products
+    # are merged only through that division.
+    merged = 0
+    for name in RANDOM_NAMES:
+        for branch in range(THEORIES[name]().branch_outcomes):
+            t, cs = constraints(name, branch)
+            directions = solve_linear_stage(cs).free_directions
+            space = t.state_space
+            scalings = {}
+            for v, (_, s) in zip(space.vertices, space.int_vertices):
+                for g, (_, e) in zip(space.cone_facets, space.int_facets):
+                    row = tuple(dot(g, matvec(dr, v)) for dr in directions)
+                    if any(row):
+                        scalings.setdefault((row, -dot(g, v)), set()).add(e * s)
+            merged += sum(len(scales) > 1 for scales in scalings.values())
+    assert merged > 0
 
 
 def test_compare_tradeoff_matches_solving_wrapper():

@@ -1,13 +1,12 @@
 """Solver pipeline tests against hand-derived oracles."""
 
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gptdyn.exactla import affine_hull_dim, identity, mat, matmul, matvec, rank, vec
+from gptdyn.exactla import identity, mat, matmul, matvec, rank, vec
 from gptdyn.restriction import conditional_state_set
 from gptdyn.solver import (
     CandidateVerified,
@@ -28,9 +27,6 @@ from gptdyn.solver import (
 )
 from gptdyn.theories import (
     BUILTIN_BUILDERS,
-    MeasurementSpec,
-    Role,
-    TheorySpec,
     expectation_to_minimal_matrix,
     make_boxworld,
     make_classical,
@@ -39,8 +35,9 @@ from gptdyn.theories import (
     make_qubit,
     membership,
     minimal_to_expectation_matrix,
-    polytope_from_vertices,
 )
+
+from helpers import random_v_theory
 
 
 def expectation_picture(t, transform):
@@ -501,39 +498,12 @@ def test_boxworld_counts_match_dimension():
                 assert count_forced_eigenvectors(t, branch) == t.dim
 
 
-def _random_v_theory(rng):
-    """A seeded polytope theory of dimension 4 with a 2- or 3-outcome branch.
-
-    Each branch gets one or two certain vertices, and a few more vertices
-    leave the branch uncertain; coordinates are on the {0, 1/2, 1} grid.
-    """
-    outcomes = rng.choice((2, 3))
-    fiducials = ("X", "Y")[: 4 - outcomes]
-    measurements = (MeasurementSpec("Z", outcomes, Role.BRANCH),) + tuple(
-        MeasurementSpec(label, 2, Role.FIDUCIAL) for label in fiducials
-    )
-    grid = (Fraction(0), Fraction(1, 2), Fraction(1))
-    # Kept branch probabilities p(Z=0), ..., p(Z=N-2); the last is 1 - their sum.
-    blocks = list(itertools.product(grid, repeat=outcomes - 1))
-    certain = [
-        tuple(Fraction(int(i == b)) for i in range(outcomes - 1)) for b in range(outcomes)
-    ]
-    uncertain = [p for p in blocks if p not in certain and sum(p) <= 1]
-    while True:
-        chosen = [c for c in certain for _ in range(rng.randint(1, 2))]
-        chosen += [rng.choice(uncertain) for _ in range(rng.randint(0, 3))]
-        points = {(Fraction(1), *z, *(rng.choice(grid) for _ in fiducials)) for z in chosen}
-        if affine_hull_dim([p[1:] for p in points]) == 3:
-            vertices = tuple(sorted(points))
-            return TheorySpec(measurements, polytope_from_vertices(vertices))
-
-
 def test_forced_fixed_count_is_fixed_rank_plus_one():
     # Both counts read rank F + 1; the reference adds the acting generator to F.
     rng = random.Random(909)
     theories = [build() for build in BUILTIN_BUILDERS.values()]
     theories += [make_boxworld(s, o) for s in (2, 3) for o in (2, 3)]
-    theories += [_random_v_theory(rng) for _ in range(12)]
+    theories += [random_v_theory(rng) for _ in range(12)]
     for t in theories:
         for branch in range(t.branch_outcomes):
             cs = assemble_constraints(t, branch)
