@@ -95,21 +95,10 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((x * y for x, y in zip(u, v)), ZERO)
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch in add")
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     if len(u) != len(v):
         raise ValueError("vector length mismatch in sub")
     return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(u: Vec, s: Fraction | int) -> Vec:
-    factor = rat(s)
-    return tuple(factor * x for x in u)
 
 
 def is_zero_vec(u: Vec) -> bool:
@@ -135,16 +124,6 @@ def matmul(a: Mat, b: Mat) -> Mat:
 def transpose(a: Mat) -> Mat:
     rows, cols = shape(a)
     return tuple(tuple(a[i][j] for i in range(rows)) for j in range(cols))
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    if shape(a) != shape(b):
-        raise ValueError("matrix shape mismatch in add")
-    return tuple(vec_add(ra, rb) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Mat, s: Fraction | int) -> Mat:
-    return tuple(vec_scale(row, s) for row in a)
 
 
 def int_dot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -86,8 +86,12 @@ def branch_probability(t: TheorySpec, minimal_entries: Vec, branch: int) -> Frac
     return t.full_probabilities(minimal_entries, t.branch.label)[branch]
 
 
-def conditional_state_set(t: TheorySpec, branch: int) -> ConditionalSet:
-    """States with ``p(Z = branch) = n``, spanned by their normalised extremes."""
+def conditional_generators(t: TheorySpec, branch: int) -> Mat:
+    """Normalised extreme states with ``p(Z = branch) = n``.
+
+    With down-scaling they span the whole sub-normalised conditional set;
+    they are the fixed vectors the solver takes from each other branch.
+    """
     if not 0 <= branch < t.branch_outcomes:
         raise ValueError(
             f"branch {branch} out of range for {t.branch_outcomes} outcomes"
@@ -96,17 +100,21 @@ def conditional_state_set(t: TheorySpec, branch: int) -> ConditionalSet:
     if isinstance(space, BallStateSpace):
         # Certainty pins every other expectation to zero: a single ray.
         half = Fraction(1, 2)
-        entries = [ONE, ONE if branch == 0 else ZERO, half, half]
-        generators: Mat = (tuple(entries),)
-    else:
-        generators = tuple(
-            v for v in space.vertices if branch_probability(t, v, branch) == 1
+        return ((ONE, ONE if branch == 0 else ZERO, half, half),)
+    generators = tuple(
+        v for v in space.vertices if branch_probability(t, v, branch) == 1
+    )
+    if not generators:
+        raise DegenerateTheoryError(
+            f"no state is certain to be found in branch {branch}; "
+            "the fiducial set is inconsistent with the state space"
         )
-        if not generators:
-            raise DegenerateTheoryError(
-                f"no state is certain to be found in branch {branch}; "
-                "the fiducial set is inconsistent with the state space"
-            )
+    return generators
+
+
+def conditional_state_set(t: TheorySpec, branch: int) -> ConditionalSet:
+    """States with ``p(Z = branch) = n``, spanned by their normalised extremes."""
+    generators = conditional_generators(t, branch)
     return ConditionalSet(
         branch=branch,
         generators=generators,
@@ -157,7 +165,7 @@ def check_quantum_like_uncertainty(
     others = [label for label in labels if label != t.branch.label]
     for branch in range(t.branch_outcomes):
         for generator in sorted(
-            conditional_state_set(t, branch).generators, reverse=True
+            conditional_generators(t, branch), reverse=True
         ):
             state = StateVec(rep=Rep.MINIMAL, entries=generator, theory=t)
             n = generator[0]

@@ -32,8 +32,11 @@ and membership words the violation of a vertex that fails.  With
 the branch rows pinned, the ball is kept exactly when both branch poles map
 to themselves and the 2x2 X/Y block ``M`` of the expectation-picture map is
 a contraction, ``I - M^T M >= 0``: both diagonal entries and the determinant
-of that matrix are nonnegative rationals.  When such a map fails, the
-report names a valid state whose image membership rejects.
+of that matrix are nonnegative rationals.  ``M`` is the p(X=0)/p(Y=0) block
+of ``T`` itself, and the poles, the candidates and the witnesses are written
+in minimal coordinates directly, so no conversion matrix is involved.  When
+such a map fails, the report names a valid state whose image membership
+rejects.
 """
 
 from __future__ import annotations
@@ -51,9 +54,6 @@ from .exactla import (
     identity,
     int_dot,
     is_zero_vec,
-    mat_add,
-    mat_scale,
-    matmul,
     matvec,
     nullspace,
     rank,
@@ -66,7 +66,7 @@ from .polytopes import feasible_region_dim
 from .restriction import (
     RestrictionClass,
     classify_restriction,
-    conditional_state_set,
+    conditional_generators,
 )
 from .simplex import LpStatus, lp_optimize
 from .theories import (
@@ -75,9 +75,7 @@ from .theories import (
     Rep,
     StateVec,
     TheorySpec,
-    expectation_to_minimal_matrix,
     membership,
-    minimal_to_expectation_matrix,
     spanning_states,
 )
 from .theory_io import vec_strs
@@ -236,7 +234,7 @@ def assemble_constraints(t: TheorySpec, branch: int) -> ConstraintSystem:
     fixed: list[Vec] = []
     for other in range(t.branch_outcomes):
         if other != branch:
-            fixed.extend(conditional_state_set(t, other).generators)
+            fixed.extend(conditional_generators(t, other))
     return ConstraintSystem(
         theory=t,
         acting_branch=branch,
@@ -272,14 +270,22 @@ def solve_linear_stage(cs: ConstraintSystem) -> LinearStage:
 
 
 def family_member(stage: LinearStage, point: Vec) -> Mat:
-    """Instantiate ``base + sum(point_k * direction_k)``."""
+    """Instantiate ``base + sum(point_k * direction_k)``.
+
+    Direction ``k`` is kernel vector ``k % width`` in row ``first_free_row +
+    k // width`` (``width`` kernel vectors per free row), so each nonzero
+    parameter adds its multiple of that vector to that row alone.
+    """
     if len(point) != stage.dim:
         raise ValueError(f"expected {stage.dim} parameters, got {len(point)}")
-    result = stage.base
-    for lam, direction in zip(point, stage.free_directions):
+    rows = [list(row) for row in stage.base]
+    width = len(stage.kernel)
+    for k, lam in enumerate(point):
         if lam != 0:
-            result = mat_add(result, mat_scale(direction, lam))
-    return result
+            row = rows[stage.first_free_row + k // width]
+            for j, x in enumerate(stage.kernel[k % width]):
+                row[j] += lam * x
+    return tuple(map(tuple, rows))
 
 
 def impose_state_preservation(
@@ -387,20 +393,13 @@ def sample_family_points(
 # -- explicit candidates for the round state space -----------------------------------
 
 
-def _embed_phase_block(t: TheorySpec, block: Mat) -> Mat:
-    """Lift a 2x2 map of the two non-branch expectation axes to minimal coordinates."""
-    d = t.dim
-    t_exp = [list(row) for row in identity(d)]
-    for i in range(2):
-        for j in range(2):
-            t_exp[2 + i][2 + j] = block[i][j]
-    to_min = expectation_to_minimal_matrix(t)
-    to_exp = minimal_to_expectation_matrix(t)
-    return matmul(to_min, matmul(tuple(tuple(r) for r in t_exp), to_exp))
-
-
 def ball_candidate_transforms(t: TheorySpec) -> tuple[Mat, ...]:
-    """Exact rational rotations and a reflection of the free expectation plane."""
+    """Exact rational rotations and a reflection of the free expectation plane.
+
+    Under a block ``B`` on ``(<X>, <Y>)``, minimal entry ``2 + i`` (``p =
+    (n + <G>)/2`` of X, then Y) maps to ``((1 - b_i0 - b_i1)/2) n + b_i0
+    p(X=0) + b_i1 p(Y=0)``; the branch rows stay the identity's.
+    """
     cos, sin = Fraction(3, 5), Fraction(4, 5)
     blocks = [
         ((ONE, ZERO), (ZERO, ONE)),
@@ -409,26 +408,32 @@ def ball_candidate_transforms(t: TheorySpec) -> tuple[Mat, ...]:
         ((ONE, ZERO), (ZERO, -ONE)),
         ((cos, sin), (sin, -cos)),
     ]
-    return tuple(_embed_phase_block(t, block) for block in blocks)
+    pinned = identity(t.dim)[:2]
+    return tuple(
+        pinned + tuple(((1 - b0 - b1) / 2, ZERO, b0, b1) for b0, b1 in block)
+        for block in blocks
+    )
 
 
-def _ball_escapes(t: TheorySpec, transform: Mat) -> list[Vec]:
+def _ball_escapes(transform: Mat) -> list[Vec]:
     """Valid states that a map with pinned branch rows takes out of the ball.
 
-    Such a map keeps the ball exactly when both branch poles stay fixed and
-    the X/Y block ``M`` of its expectation matrix is a contraction: ``G = I -
-    M^T M`` is positive semidefinite, i.e. both diagonal entries and the
-    determinant are >= 0.  Then there are none; otherwise the moving poles
-    are returned, or one pure state whose X/Y part points along a ``w`` with
+    In minimal coordinates ``(n, p(Z=0), p(X=0), p(Y=0))`` with ``p = (n +
+    <G>)/2``, the expectation-picture map has entries ``T[i][j] - T[0][j]/2``
+    for ``i, j >= 1``, so with row 0 pinned its X/Y block ``M`` is
+    ``T[2:4][2:4]``.  Such a map keeps the ball exactly when both branch
+    poles stay fixed and ``M`` is a contraction: ``G = I - M^T M`` is
+    positive semidefinite, i.e. both diagonal entries and the determinant
+    are >= 0.  Then there are none; otherwise the moving poles are
+    returned, or one pure state whose X/Y part points along a ``w`` with
     ``w^T G w < 0``.
     """
-    to_min = expectation_to_minimal_matrix(t)
-    poles = [matvec(to_min, (ONE, z, ZERO, ZERO)) for z in (ONE, -ONE)]
+    half = Fraction(1, 2)
+    poles = [(ONE, ONE, half, half), (ONE, ZERO, half, half)]
     moving = [p for p in poles if matvec(transform, p) != p]
     if moving:
         return moving
-    t_exp = matmul(minimal_to_expectation_matrix(t), matmul(transform, to_min))
-    (m11, m12), (m21, m22) = t_exp[2][2:], t_exp[3][2:]
+    (m11, m12), (m21, m22) = transform[2][2:], transform[3][2:]
     g11 = 1 - m11 * m11 - m21 * m21
     g22 = 1 - m12 * m12 - m22 * m22
     g12 = -(m11 * m12 + m21 * m22)
@@ -444,10 +449,11 @@ def _ball_escapes(t: TheorySpec, transform: Mat) -> list[Vec]:
         w = (g22 + 1, -g12)  # g11 = 0: w^T G w = -(g22 + 2) g12^2
     # With a = |w|^2 and k = 2/(a + 1), the state (<Z>, <X>, <Y>) =
     # ((a - 1)/(a + 1), k w) is pure, and its image (<Z>, k M w) has squared
-    # length 1 + k^2 (|M w|^2 - a) > 1.
+    # length 1 + k^2 (|M w|^2 - a) > 1.  In minimal coordinates it is
+    # (1, a/(a + 1), (1 + k w_0)/2, (1 + k w_1)/2).
     a = w[0] * w[0] + w[1] * w[1]
     k = 2 / (a + 1)
-    return [matvec(to_min, (ONE, (a - 1) / (a + 1), k * w[0], k * w[1]))]
+    return [(ONE, a / (a + 1), (1 + k * w[0]) / 2, (1 + k * w[1]) / 2)]
 
 
 # -- verification ---------------------------------------------------------------------
@@ -496,7 +502,7 @@ def _verify_against(cs: ConstraintSystem, transform: Mat) -> VerificationReport:
     else:
         method = "contraction-block"
         rows_pinned = all(is_zero_vec(r) for r in branch_residuals)
-        for state in _ball_escapes(t, transform) if rows_pinned else ():
+        for state in _ball_escapes(transform) if rows_pinned else ():
             image = matvec(transform, state)
             result = membership(t, StateVec(Rep.MINIMAL, image, t))
             if result.is_inside:  # pragma: no cover - the witnesses are exact

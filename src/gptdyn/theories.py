@@ -512,8 +512,9 @@ def from_minimal(s: StateVec) -> StateVec:
 
 def membership(t: TheorySpec, s: StateVec) -> MembershipResult:
     """Exact state-space membership, sub-normalised states included."""
-    sm = to_minimal(s)
-    x = sm.entries
+    x = to_minimal(s).entries
+    if len(x) != t.dim:
+        raise ValueError(f"state of length {len(x)} in a theory of dimension {t.dim}")
     n = x[0]
     if n < 0:
         return MembershipResult(False, f"normalisation n = {n} is negative")
@@ -521,16 +522,14 @@ def membership(t: TheorySpec, s: StateVec) -> MembershipResult:
         return MembershipResult(False, f"normalisation n = {n} exceeds 1")
     space = t.state_space
     if isinstance(space, BallStateSpace):
-        e = to_expectation(sm).entries
-        radius_sq = sum((v * v for v in e[1:]), ZERO)
+        # Minimal entries 1-3 are p = (n + <G>)/2 for Z, X and Y.
+        radius_sq = sum(((2 * p - n) ** 2 for p in x[1:]), ZERO)
         if radius_sq > n * n:
             return MembershipResult(
                 False,
                 f"squared expectation length {radius_sq} exceeds n^2 = {n * n}",
             )
         return MembershipResult(True)
-    if len(x) != t.dim:
-        raise ValueError(f"state of length {len(x)} in a theory of dimension {t.dim}")
     scaled, _ = scale_to_integers(x)
     for g, (h, _) in zip(space.cone_facets, space.int_facets):
         if int_dot(h, scaled) > 0:

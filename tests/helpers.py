@@ -3,8 +3,10 @@ references for the fast paths: the ``Fraction`` Gauss-Jordan elimination the
 integer one replaced, the flat d*d-unknown form of the solver's equality
 stage, the rational-row simplex the integer-row one replaced, the
 one-LP-per-row implicit-equality search, the subset-by-subset facet and
-vertex enumerations that double description replaced, and the ``Fraction``
-(vertex, facet) checks that the integer rows of a polytope space replaced."""
+vertex enumerations that double description replaced, the ``Fraction``
+(vertex, facet) checks that the integer rows of a polytope space replaced,
+the matrix-by-matrix family members, and the ball's route through the
+expectation-picture conversion matrices."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -20,6 +22,8 @@ from gptdyn.exactla import (
     affine_hull_dim,
     dot,
     identity,
+    is_zero_vec,
+    matmul,
     matvec,
     nullspace,
     rank,
@@ -35,7 +39,7 @@ from gptdyn.polytopes import (
     canonical_halfspace,
 )
 from gptdyn.simplex import LpResult, LpStatus, _check_system
-from gptdyn.solver import ConstraintSystem, VerificationReport
+from gptdyn.solver import ConstraintSystem, LinearStage, VerificationReport
 from gptdyn.theories import (
     MeasurementSpec,
     MembershipResult,
@@ -44,9 +48,12 @@ from gptdyn.theories import (
     Role,
     StateVec,
     TheorySpec,
+    expectation_to_minimal_matrix,
+    minimal_to_expectation_matrix,
     polytope_from_halfspaces,
     polytope_from_vertices,
     spanning_states,
+    to_expectation,
     to_minimal,
 )
 
@@ -587,5 +594,107 @@ def fraction_verify(cs: ConstraintSystem, transform: Mat) -> VerificationReport:
         ),
         membership_violations=tuple(violations),
         method="vertex-images",
+        exhaustive=True,
+    )
+
+
+# -- Reference family members: one whole-matrix add per direction, as family
+# members were built before each parameter went straight into its row.
+
+
+def matrix_family_member(stage: LinearStage, point: Vec) -> Mat:
+    """``base + sum(point_k * direction_k)``, one scaled matrix at a time."""
+    result = stage.base
+    for lam, direction in zip(point, stage.free_directions):
+        if lam != 0:
+            result = tuple(
+                tuple(x + lam * y for x, y in zip(row, step))
+                for row, step in zip(result, direction)
+            )
+    return result
+
+
+# -- Reference ball route: the candidates, poles, witnesses and membership
+# test computed through the expectation-picture conversion matrices, as they
+# were before they were read off the minimal coordinates.
+
+
+def embed_phase_block(t: TheorySpec, block: Mat) -> Mat:
+    """Lift a 2x2 map of the two non-branch expectation axes to minimal coordinates."""
+    d = t.dim
+    t_exp = [list(row) for row in identity(d)]
+    for i in range(2):
+        for j in range(2):
+            t_exp[2 + i][2 + j] = block[i][j]
+    to_min = expectation_to_minimal_matrix(t)
+    to_exp = minimal_to_expectation_matrix(t)
+    return matmul(to_min, matmul(tuple(tuple(r) for r in t_exp), to_exp))
+
+
+def matrix_ball_escapes(t: TheorySpec, transform: Mat) -> list[Vec]:
+    """Moving poles, or one pure state that ``M`` stretches, found in the expectation picture."""
+    to_min = expectation_to_minimal_matrix(t)
+    poles = [matvec(to_min, (ONE, z, ZERO, ZERO)) for z in (ONE, -ONE)]
+    moving = [p for p in poles if matvec(transform, p) != p]
+    if moving:
+        return moving
+    t_exp = matmul(minimal_to_expectation_matrix(t), matmul(transform, to_min))
+    (m11, m12), (m21, m22) = t_exp[2][2:], t_exp[3][2:]
+    g11 = 1 - m11 * m11 - m21 * m21
+    g22 = 1 - m12 * m12 - m22 * m22
+    g12 = -(m11 * m12 + m21 * m22)
+    if g11 >= 0 and g22 >= 0 and g11 * g22 - g12 * g12 >= 0:
+        return []
+    if g11 < 0:
+        w = (ONE, ZERO)
+    elif g22 < 0:
+        w = (ZERO, ONE)
+    elif g11 > 0:
+        w = (-g12, g11)
+    else:
+        w = (g22 + 1, -g12)
+    a = w[0] * w[0] + w[1] * w[1]
+    k = 2 / (a + 1)
+    return [matvec(to_min, (ONE, (a - 1) / (a + 1), k * w[0], k * w[1]))]
+
+
+def matrix_ball_membership(t: TheorySpec, s: StateVec) -> MembershipResult:
+    """Ball membership on the expectation entries the conversion matrices give."""
+    x = to_minimal(s).entries
+    n = x[0]
+    if n < 0:
+        return MembershipResult(False, f"normalisation n = {n} is negative")
+    if n > 1:
+        return MembershipResult(False, f"normalisation n = {n} exceeds 1")
+    e = to_expectation(StateVec(Rep.MINIMAL, x, t)).entries
+    radius_sq = sum((v * v for v in e[1:]), ZERO)
+    if radius_sq > n * n:
+        return MembershipResult(
+            False, f"squared expectation length {radius_sq} exceeds n^2 = {n * n}"
+        )
+    return MembershipResult(True)
+
+
+def matrix_ball_verify(cs: ConstraintSystem, transform: Mat) -> VerificationReport:
+    """Verification of a map on the ball through the conversion matrices."""
+    t = cs.theory
+    ident = identity(t.dim)
+    branch_residuals = tuple(
+        vec_sub(transform[r], ident[r]) for r in range(cs.branch_row_count)
+    )
+    violations = []
+    if all(is_zero_vec(r) for r in branch_residuals):
+        for state in matrix_ball_escapes(t, transform):
+            image = matvec(transform, state)
+            result = matrix_ball_membership(t, StateVec(Rep.MINIMAL, image, t))
+            violations.append((state, image, result.violation))
+    return VerificationReport(
+        branch=cs.acting_branch,
+        branch_row_residuals=branch_residuals,
+        fixed_vector_residuals=tuple(
+            vec_sub(matvec(transform, v), v) for v in cs.fixed_vectors
+        ),
+        membership_violations=tuple(violations),
+        method="contraction-block",
         exhaustive=True,
     )

@@ -1,5 +1,6 @@
 """The row-decoupled equality stage against the flat d*d-unknown system."""
 
+from fractions import Fraction
 import random
 
 import pytest
@@ -12,12 +13,14 @@ from gptdyn.solver import (
     UniqueIdentity,
     assemble_constraints,
     compare_tradeoff,
+    family_member,
     impose_state_preservation,
     restriction_dynamics_tradeoff,
     solve_linear_stage,
 )
 from gptdyn.theories import (
     MeasurementSpec,
+    PolytopeStateSpace,
     Role,
     TheorySpec,
     builtin_theory,
@@ -31,6 +34,7 @@ from helpers import (
     direction_halfspaces,
     flat_equations,
     flat_free_directions,
+    matrix_family_member,
     random_v_theory,
 )
 from test_theory_io import DIAMOND_H_CONFIG
@@ -137,6 +141,30 @@ def test_free_directions_are_single_rows(case):
         assert direction[moving[0]] == stage.kernel[index % kernel_dim]
 
 
+def _assert_members_match_reference(stage, points):
+    for point in points:
+        member = family_member(stage, point)
+        assert repr(member) == repr(matrix_family_member(stage, point))
+
+
+def _random_points(rng, stage, count=6):
+    return [
+        tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(stage.dim))
+        for _ in range(count)
+    ]
+
+
+def test_family_member_matches_matrix_reference(case):
+    t, cs = case
+    stage = solve_linear_stage(cs)
+    points = _random_points(random.Random(stage.dim), stage)
+    if isinstance(t.state_space, PolytopeStateSpace):
+        result = impose_state_preservation(t, stage)
+        if isinstance(result, PolytopeFamily):
+            points += result.witnesses
+    _assert_members_match_reference(stage, points)
+
+
 def test_no_fixed_vectors_leave_whole_rows_free():
     cs = ConstraintSystem(
         theory=builtin_theory("gbit"),
@@ -147,6 +175,7 @@ def test_no_fixed_vectors_leave_whole_rows_free():
     stage = solve_linear_stage(cs)
     assert stage.kernel == identity(3)
     assert stage.free_directions == flat_free_directions(cs)
+    _assert_members_match_reference(stage, _random_points(random.Random(3), stage))
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ from gptdyn.theories import (
     minimal_to_expectation_matrix,
 )
 
-from helpers import random_v_theory
+from helpers import embed_phase_block, matrix_ball_verify, random_v_theory
 
 
 def expectation_picture(t, transform):
@@ -417,6 +417,63 @@ def test_ball_verdict_matches_singular_value_reference():
                 assert expected or report.membership_violations
     assert len(blocks) >= 300
     assert len(seen) == 8, seen
+
+
+def test_ball_candidates_match_matrix_route():
+    t = make_qubit()
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    blocks = [
+        [[1, 0], [0, 1]],
+        [[c, -s], [s, c]],
+        [[c, s], [-s, c]],
+        [[1, 0], [0, -1]],
+        [[c, s], [s, -c]],
+    ]
+    expected = tuple(embed_phase_block(t, mat(block)) for block in blocks)
+    assert repr(ball_candidate_transforms(t)) == repr(expected)
+
+
+def _ball_maps(rng):
+    """Seeded qubit maps: pinned, pole-moving and unpinned ones."""
+    t = make_qubit()
+    small = Fraction(1, 1000)
+    uncoupled, z_row = ((0, 0), (0, 0)), (0, 1, 0, 0)
+    maps = []
+    for i, block in enumerate(_ball_blocks(rng)):
+        coupling = ((small, 0), (0, -small)) if i % 3 == 1 else uncoupled
+        row = (0, 1, small, 0) if i % 3 == 2 else z_row
+        maps.append(minimal_picture(t, qubit_t_exp(block, coupling, row)))
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+    for _ in range(100):
+        free_rows = tuple(tuple(entry() for _ in range(4)) for _ in range(2))
+        maps.append(identity(4)[:2] + free_rows)
+        maps.append(tuple(tuple(entry() for _ in range(4)) for _ in range(4)))
+    return maps
+
+
+def test_ball_reports_match_matrix_route():
+    rng = random.Random(11)
+    t = make_qubit()
+    poles = {(1, 1, Fraction(1, 2), Fraction(1, 2)), (1, 0, Fraction(1, 2), Fraction(1, 2))}
+    seen = Counter()
+    for i, transform in enumerate(_ball_maps(rng)):
+        branch = i % 2
+        report = verify_transformation(t, transform, branch)
+        expected = matrix_ball_verify(assemble_constraints(t, branch), transform)
+        assert repr(report) == repr(expected)
+        states = {state for state, _, _ in report.membership_violations}
+        if not all(r == (0,) * 4 for r in report.branch_row_residuals):
+            seen["unpinned"] += 1
+        elif not states:
+            seen["kept"] += 1
+        elif states <= poles:
+            seen["moving pole"] += 1
+        else:
+            seen["stretched"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
 
 def test_fixed_vector_residuals_detected():

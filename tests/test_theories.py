@@ -6,7 +6,7 @@ import random
 import pytest
 
 from gptdyn.exactla import identity, matmul, vec
-from helpers import random_member_state
+from helpers import matrix_ball_membership, random_member_state
 
 from gptdyn.theories import (
     BallStateSpace,
@@ -14,6 +14,7 @@ from gptdyn.theories import (
     PolytopeStateSpace,
     Rep,
     Role,
+    StateVec,
     TheorySpec,
     TheoryValidationError,
     UnsupportedRepresentationError,
@@ -250,6 +251,39 @@ def test_gbit_membership_corner():
     assert not membership(t, t.minimal_state([1, 1, 2])).is_inside
     assert not membership(t, t.minimal_state(["3/2", 1, 1])).is_inside
     assert not membership(t, t.minimal_state(["-1/2", 0, 0])).is_inside
+
+
+def test_membership_rejects_wrong_length_first():
+    # The length is checked before n, so an out-of-range n gets no verdict.
+    gbit = make_gbit()
+    for entries in ((2, 1), (1, 1), (-1, 0, 0, 0)):
+        state = StateVec(Rep.MINIMAL, vec(entries), gbit)
+        with pytest.raises(ValueError, match="state of length"):
+            membership(gbit, state)
+    qubit = make_qubit()
+    for entries in ((1, 1, 1), (0, 0, 0), (1, 1, 1, 1, 1), (2, 0, 0, 0, 0)):
+        state = StateVec(Rep.MINIMAL, vec(entries), qubit)
+        with pytest.raises(ValueError, match="state of length"):
+            membership(qubit, state)
+
+
+def test_ball_membership_matches_matrix_route():
+    rng = random.Random(23)
+    t = make_qubit()
+    verdicts = set()
+    for i in range(600):
+        n = Fraction(rng.randint(-1, 7), 6)
+        if i % 3 == 0:
+            s = t.minimal_state([n] + [Fraction(rng.randint(-2, 8), 6) for _ in range(3)])
+        elif i % 3 == 1:
+            s = t.expectation_state([n] + [Fraction(rng.randint(-6, 6), 6) for _ in range(3)])
+        else:
+            ps = [Fraction(rng.randint(0, 6), 6) for _ in range(3)]
+            s = t.probability_state([q for p in ps for q in (p, n - p)])
+        result = membership(t, s)
+        assert repr(result) == repr(matrix_ball_membership(t, s))
+        verdicts.add(result.violation.split()[0] if result.violation else "inside")
+    assert verdicts == {"inside", "normalisation", "squared"}
 
 
 def test_subnormal_scaling_stays_member():
