@@ -13,8 +13,8 @@ integer vectors, so its cost follows the number of rays, not the number of
 milliseconds.  ``MAX_ENUM_DIM`` bounds the dimension of both conversions,
 since intermediate ray sets can grow exponentially with it.
 
-``is_bounded`` and ``feasible_region_dim`` answer their questions about a
-halfspace region with exact LPs.
+``is_bounded`` and ``implicit_equalities``, the solver's stage two, answer
+their questions about a halfspace region with exact LPs.
 """
 
 from __future__ import annotations
@@ -187,21 +187,17 @@ def _slacks(scaled: list[tuple[list[int], int]], point: Vec) -> list[int]:
     return [rhs * denom - int_dot(row, ints) for row, rhs in scaled]
 
 
-def feasible_region_dim(
-    a: Mat, b: Vec, nvars: int, points: Sequence[Vec] = ()
-) -> int:
-    """Affine dimension of a nonempty region ``{x : A x <= b}``.
+def implicit_equalities(
+    a: Mat, b: Vec, points: Sequence[Vec] = ()
+) -> tuple[list[int], list[Vec]]:
+    """Indices of the rows of a nonempty ``{x : A x <= b}`` tight on all of it.
 
-    Found by detecting the implicit equality rows (rows whose slack is zero
-    over the whole region); the affine hull is their common solution set.
-    A row strict at a known member of the region is no implicit equality.
-    Every other row is decided by one exact LP, whose optimal vertex joins
-    the known members.  ``points`` are members the caller already has; each
-    is checked against every row, and one outside the region raises
-    ``ValueError``.
+    One exact LP minimises each row not strict at a known member; an optimum
+    below its bound adds the optimal vertex to the known members and to the
+    returned ones, so every other row is strict at one of ``points`` or of
+    those.  ``points`` are members the caller already has; one outside the
+    region raises ``ValueError``.
     """
-    if not a:
-        return nvars
     scaled = []
     for row, rhs in zip(a, b):
         ints, _ = scale_to_integers([*row, rhs])
@@ -212,7 +208,8 @@ def feasible_region_dim(
             if slack < 0:
                 raise ValueError(f"point {point} violates row {i} of the region")
             strict[i] = strict[i] or slack > 0
-    equality_rows: list[Vec] = []
+    equalities: list[int] = []
+    members: list[Vec] = []
     for i, (row, rhs) in enumerate(zip(a, b)):
         if strict[i]:
             continue
@@ -220,10 +217,14 @@ def feasible_region_dim(
         if result.status is not LpStatus.OPTIMAL:
             continue
         if result.optimum == rhs:
-            equality_rows.append(row)
+            equalities.append(i)
             continue
+        members.append(result.witness)
         for j, slack in enumerate(_slacks(scaled[i + 1 :], result.witness), i + 1):
             strict[j] = strict[j] or slack > 0
-    if not equality_rows:
-        return nvars
-    return nvars - rank(tuple(equality_rows))
+    return equalities, members
+
+
+def feasible_region_dim(a: Mat, b: Vec, nvars: int, points: Sequence[Vec] = ()) -> int:
+    """Affine dimension of a nonempty ``{x : A x <= b}``: nvars less its equalities' rank."""
+    return nvars - rank(tuple(a[i] for i in implicit_equalities(a, b, points)[0]))

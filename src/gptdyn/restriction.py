@@ -82,10 +82,6 @@ class UncertaintyReport:
         }
 
 
-def branch_probability(t: TheorySpec, minimal_entries: Vec, branch: int) -> Fraction:
-    return t.full_probabilities(minimal_entries, t.branch.label)[branch]
-
-
 def conditional_generators(t: TheorySpec, branch: int) -> Mat:
     """Normalised extreme states with ``p(Z = branch) = n``.
 
@@ -101,8 +97,13 @@ def conditional_generators(t: TheorySpec, branch: int) -> Mat:
         # Certainty pins every other expectation to zero: a single ray.
         half = Fraction(1, 2)
         return ((ONE, ONE if branch == 0 else ZERO, half, half),)
+    # A vertex x / s is normalised (x[0] = s) and keeps p(Z = b) = x[1 + b] / s
+    # for b < N - 1; the last branch is certain when all of those are 0.
+    outcomes = t.branch_outcomes
     generators = tuple(
-        v for v in space.vertices if branch_probability(t, v, branch) == 1
+        v
+        for v, (x, s) in zip(space.vertices, space.int_vertices)
+        if (x[1 + branch] == s if branch < outcomes - 1 else not any(x[1:outcomes]))
     )
     if not generators:
         raise DegenerateTheoryError(

@@ -50,15 +50,6 @@ class LpResult:
     witness: Vec | None
 
 
-def _combine(row: list[int], pivot_row: list[int], col: int) -> list[int]:
-    """Eliminate ``col`` from ``row`` with ``pivot_row``, whose entry there is > 0.
-
-    ``pivot_row[col] * row - row[col] * pivot_row`` is a positive multiple of
-    the rational elimination; it is returned divided by its gcd.
-    """
-    return int_combination(pivot_row[col], row, row[col], pivot_row)
-
-
 class _Tableau:
     """Dense simplex tableau of integer rows; the rhs is in the last column.
 
@@ -80,9 +71,11 @@ class _Tableau:
         if pivot_row[col] < 0:
             pivot_row = [-v for v in pivot_row]
             self.rows[row] = pivot_row
+        # pivot_row[col] > 0, so each combination is a positive multiple of
+        # the rational elimination.
         for r, other in enumerate(self.rows):
             if r != row and other[col] != 0:
-                self.rows[r] = _combine(other, pivot_row, col)
+                self.rows[r] = int_combination(pivot_row[col], other, other[col], pivot_row)
         self.basis[row] = col
 
     def minimize(self, cost: list[int], allowed: int) -> tuple[str, list[int]]:
@@ -96,7 +89,7 @@ class _Tableau:
         z = cost
         for r, basic in enumerate(self.basis):
             if z[basic] != 0:
-                z = _combine(z, self.rows[r], basic)
+                z = int_combination(self.rows[r][basic], z, z[basic], self.rows[r])
         while True:
             entering = next((j for j in range(allowed) if z[j] < 0), None)
             if entering is None:
@@ -117,7 +110,8 @@ class _Tableau:
                 return "unbounded", z
             self.pivot(leaving, entering)
             # Every other basic column already has a zero reduced cost.
-            z = _combine(z, self.rows[leaving], entering)
+            pivot_row = self.rows[leaving]
+            z = int_combination(pivot_row[entering], z, z[entering], pivot_row)
 
 
 def _check_system(label: str, system: tuple[Mat, Vec] | None, nvars: int) -> tuple[Mat, Vec]:

@@ -18,9 +18,9 @@ once, applies row by row: the leftover freedom is spanned by the directions
 Stage two intersects it with state preservation: for polytope state spaces
 the image of every vertex must satisfy every facet, which is a finite
 system of linear inequalities in the free parameters, so the surviving
-family is itself a polytope whose dimension exact LPs decide.  The rows are
-formed and de-duplicated on the state space's integer vertex and facet
-rows; only the distinct ones become the ``Fraction`` rows the LPs take.
+family is itself a polytope, with the dimension of its cone of rows with
+zero bound, which exact LPs decide.  The rows are formed and de-duplicated
+on the state space's integer vertex and facet rows.
 For the round state space the family is not polyhedral; instead an
 explicit family of rational orthogonal phase-plane maps is verified member
 by member.
@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
 from .exactla import (
     Mat,
@@ -53,22 +53,21 @@ from .exactla import (
     ZERO,
     identity,
     int_dot,
+    int_echelon,
     is_zero_vec,
     matvec,
     nullspace,
     rank,
     scale_to_integers,
-    unit,
     vec_sub,
     zeros,
 )
-from .polytopes import feasible_region_dim
+from .polytopes import implicit_equalities
 from .restriction import (
     RestrictionClass,
     classify_restriction,
     conditional_generators,
 )
-from .simplex import LpStatus, lp_optimize
 from .theories import (
     DegenerateTheoryError,
     PolytopeStateSpace,
@@ -125,8 +124,8 @@ class PolytopeFamily:
     """Free parameters confined to a polytope of positive dimension.
 
     ``halfspace_matrix . lam <= halfspace_rhs`` characterises the family
-    exactly; ``witnesses`` are feasible parameter points found while
-    computing the dimension (the origin, i.e. the identity, is always one).
+    exactly.  ``witnesses`` are ``dim + 1`` affinely independent exact
+    members: the origin (the identity) first, then ``dim`` more.
     """
 
     dim: int
@@ -299,10 +298,15 @@ def impose_state_preservation(
     ``w . v`` along ``e_r``, so the pair's row is ``g_r (w . v)`` over the
     directions and its bound is ``-g . v``.  Pairs whose row vanishes (``v``
     orthogonal to the kernel, or ``g`` zero on every free row) are dropped:
-    the identity keeps ``v`` inside ``g``.  Exact LPs then either pin every
-    parameter to zero or measure the affine dimension of the surviving
-    parameter polytope; the axis LPs' witnesses go to the dimension search
-    as known members, so rows slack at one of them need no LP of their own.
+    the identity keeps ``v`` inside ``g``.  No LP sees these rows ``A lam <=
+    b``: every bound is >= 0 and the origin is a member, so near it the
+    family is the cone of the rows with ``b = 0``.  One implicit-equality
+    search over those rows and the box ``-1 <= lam_i <= 1`` gives its
+    dimension.  The witnesses are the origin and ``p + u/q`` for each basis
+    vector ``u`` of the cone's hull: ``p``, the sum of the members found, is
+    strict on the other cone rows and scaled so each is <= -1; the integer
+    ``q >= |row . u|`` is stepped up while the members are dependent.  One
+    ``1/s`` fits them into the rows with ``b > 0``.
     """
     space = t.state_space
     if not isinstance(space, PolytopeStateSpace):
@@ -311,8 +315,6 @@ def impose_state_preservation(
             "verify explicit candidates instead"
         )
     k = stage.dim
-    if k == 0:
-        return UniqueIdentity()
     # In integers: kernel vector w_i = u_i / c over one denominator c, vertex
     # v = x / s and facet g = h / e.  The pair's row and bound are then
     # (h_r (u_i . x) for r, i; -(h . x) c) over the denominator e s c, and
@@ -321,15 +323,9 @@ def impose_state_preservation(
     scaled_kernel = [scale_to_integers(w) for w in stage.kernel]
     c = lcm(*(scale for _, scale in scaled_kernel))
     kernel = [[a * (c // scale) for a in u] for u, scale in scaled_kernel]
-    free_rows = range(stage.first_free_row, t.dim)
-    moving_facets = []
-    for h, e in space.int_facets:
-        h_free = [h[r] for r in free_rows]
-        if any(h_free):
-            moving_facets.append((h, e, h_free))
-    seen: set[tuple[tuple[int, ...], int]] = set()
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
+    first = stage.first_free_row
+    moving_facets = [(h, e, h[first:]) for h, e in space.int_facets if any(h[first:])]
+    keys: dict[tuple[tuple[int, ...], int], None] = {}
     for x, s in space.int_vertices:
         images = [int_dot(u, x) for u in kernel]
         if not any(images):
@@ -339,40 +335,48 @@ def impose_state_preservation(
             numerators.append(-int_dot(h, x) * c)
             denominator = e * s * c
             common = gcd(denominator, *numerators)
-            key = (tuple(n // common for n in numerators), denominator // common)
-            if key not in seen:
-                seen.add(key)
-                *coeffs, bound = (Fraction(n, key[1]) for n in key[0])
-                rows.append(tuple(coeffs))
-                rhs.append(bound)
-    a = tuple(rows)
-    b = tuple(rhs)
-    witnesses: list[Vec] = [zeros(k)]
-    forced_zero = True
-    for axis_index in range(k):
-        axis = unit(k, axis_index)
-        for sense in ("max", "min"):
-            result = lp_optimize(axis, ineq=(a, b), sense=sense)
-            if result.status is not LpStatus.OPTIMAL:  # pragma: no cover
-                raise AssertionError("the parameter polytope is bounded by construction")
-            if result.optimum != 0:
-                forced_zero = False
-            if result.witness is not None and result.witness not in witnesses:
-                witnesses.append(result.witness)
-    if forced_zero:
+            keys[tuple(n // common for n in numerators), denominator // common] = None
+    rows = tuple(tuple(Fraction(n, e) for n in ns[:-1]) for ns, e in keys)
+    rhs = tuple(Fraction(ns[-1], e) for ns, e in keys)
+    cone = tuple(row for row, bound in zip(rows, rhs) if bound == 0)
+    cone_keys = [(ns[:-1], e) for ns, e in keys if ns[-1] == 0]
+    box = tuple(tuple(sign * x for x in axis) for axis in identity(k) for sign in (ONE, -ONE))
+    origin = zeros(k)
+    equalities, found = implicit_equalities(
+        cone + box, (ZERO,) * len(cone) + (ONE,) * len(box), [origin]
+    )
+    _, _, basis = int_echelon([cone_keys[i][0] for i in equalities], k)
+    if not basis:
         return UniqueIdentity()
+    slack = [key for i, key in enumerate(cone_keys) if i not in equalities]
+    p = [sum(column) for column in zip(origin, *found)]
+    scale = max((-e / int_dot(ns, p) for ns, e in slack), default=ONE)
+    p = [scale * x for x in p]
+    bounds = [Fraction(abs(int_dot(ns, u)), e) for ns, e in slack for u in basis]
+    q = max(1, ceil(max(bounds, default=0)))
+    while True:
+        members = [tuple(x + Fraction(y, q) for x, y in zip(p, u)) for u in basis]
+        if rank(tuple(members)) == len(basis):
+            break
+        q += 1
+    # On the integer rows, the row's denominator cancels from row . m / bound.
+    scaled = [scale_to_integers(m) for m in members]
+    ratios = [
+        Fraction(int_dot(ns[:-1], y), ns[-1] * d) for ns, _ in keys if ns[-1] for y, d in scaled
+    ]
+    s = max(1, ceil(max(ratios, default=0)))
     return PolytopeFamily(
-        dim=feasible_region_dim(a, b, k, witnesses),
-        halfspace_matrix=a,
-        halfspace_rhs=b,
-        witnesses=tuple(witnesses),
+        dim=len(basis),
+        halfspace_matrix=rows,
+        halfspace_rhs=rhs,
+        witnesses=(origin, *(tuple(x / s for x in m) for m in members)),
     )
 
 
 def sample_family_points(
     family: PolytopeFamily, count: int, seed: int = 0
 ) -> list[Vec]:
-    """Rational parameter points inside the family: mixtures of LP witnesses."""
+    """Rational parameter points inside the family: mixtures of its witnesses."""
     rng = random.Random(seed)
     pool = family.witnesses
     points = []

@@ -1,11 +1,13 @@
-"""Shared test utilities: random exact states, mixtures and theories, and
-references for the fast paths: the ``Fraction`` Gauss-Jordan elimination the
-integer one replaced, the flat d*d-unknown form of the solver's equality
-stage, the rational-row simplex the integer-row one replaced, the
-one-LP-per-row implicit-equality search, the subset-by-subset facet and
-vertex enumerations that double description replaced, the ``Fraction``
-(vertex, facet) checks that the integer rows of a polytope space replaced,
-the matrix-by-matrix family members, and the ball's route through the
+"""Shared test utilities: random exact states, mixtures and theories, the
+polytopes inscribed in the qubit's sphere, and references for the fast
+paths: the ``Fraction`` Gauss-Jordan elimination the integer one replaced,
+the flat d*d-unknown form of the solver's equality stage, the axis-LP stage
+two over the whole (vertex, facet) system that the tight cone replaced, the
+rational-row simplex the integer-row one replaced, the one-LP-per-row
+implicit-equality search, the subset-by-subset facet and vertex
+enumerations that double description replaced, the ``Fraction`` (vertex,
+facet) checks that the integer rows of a polytope space replaced, the
+matrix-by-matrix family members, and the ball's route through the
 expectation-picture conversion matrices."""
 
 from fractions import Fraction
@@ -37,9 +39,16 @@ from gptdyn.polytopes import (
     Halfspace,
     UnsupportedDimensionError,
     canonical_halfspace,
+    feasible_region_dim,
 )
-from gptdyn.simplex import LpResult, LpStatus, _check_system
-from gptdyn.solver import ConstraintSystem, LinearStage, VerificationReport
+from gptdyn.simplex import LpResult, LpStatus, _check_system, lp_optimize
+from gptdyn.solver import (
+    ConstraintSystem,
+    LinearStage,
+    PolytopeFamily,
+    UniqueIdentity,
+    VerificationReport,
+)
 from gptdyn.theories import (
     MeasurementSpec,
     MembershipResult,
@@ -109,6 +118,29 @@ def random_v_theory(rng: random.Random, grid: Sequence[Fraction] = HALVES) -> Th
         if affine_hull_dim([p[1:] for p in points]) == 3:
             vertices = tuple(sorted(points))
             return TheorySpec(measurements, polytope_from_vertices(vertices))
+
+
+def inscribed_sphere_theory(grid: Sequence[int]) -> TheorySpec:
+    """The polytope of rational points on the qubit's sphere, with Z as the branch.
+
+    Inverse stereographic projection takes each ``(u, v)`` of ``grid x grid``
+    to the rational point ``(2u, 2v, u^2 + v^2 - 1) / (u^2 + v^2 + 1)`` of the
+    unit sphere, and both poles are added.  A point ``(x, y, z)`` is the state
+    ``(1, (1 + z)/2, (1 + x)/2, (1 + y)/2)``, so only the poles are certain.
+    The grids ``{-1, 1}``, ``{-1, 0, 1}`` and ``{-2, ..., 2}`` give 6, 10 and
+    26 vertices.
+    """
+    points = {(ZERO, ZERO, ONE), (ZERO, ZERO, -ONE)}
+    for u, v in product(grid, repeat=2):
+        r = u * u + v * v + 1
+        points.add((Fraction(2 * u, r), Fraction(2 * v, r), Fraction(r - 2, r)))
+    vertices = sorted((ONE, (1 + z) / 2, (1 + x) / 2, (1 + y) / 2) for x, y, z in points)
+    measurements = (
+        MeasurementSpec("Z", 2, Role.BRANCH),
+        MeasurementSpec("X", 2, Role.FIDUCIAL),
+        MeasurementSpec("Y", 2, Role.FIDUCIAL),
+    )
+    return TheorySpec(measurements, polytope_from_vertices(vertices))
 
 
 def probability_rows(t: TheorySpec) -> Mat:
@@ -438,6 +470,40 @@ def fraction_lp_optimize(
         levels[basic] = tableau.rows[r][-1]
     witness = tuple(levels[j] - levels[nvars + j] for j in range(nvars))
     return LpResult(LpStatus.OPTIMAL, dot(objective, witness), witness)
+
+
+def axis_lp_state_preservation(
+    t: TheorySpec, stage: LinearStage
+) -> UniqueIdentity | PolytopeFamily:
+    """Stage two on the whole (vertex, facet) system, as it was before the tight cone.
+
+    ``2k`` axis LPs over every row decide ``P = {0}``; their optimal vertices
+    join the origin as the witnesses and go to the dimension search over the
+    same rows as known members.
+    """
+    k = stage.dim
+    if k == 0:
+        return UniqueIdentity()
+    a, b = direction_halfspaces(t, stage.free_directions)
+    witnesses: list[Vec] = [tuple(ZERO for _ in range(k))]
+    forced_zero = True
+    for axis_index in range(k):
+        for sense in ("max", "min"):
+            result = lp_optimize(unit(k, axis_index), ineq=(a, b), sense=sense)
+            assert result.status is LpStatus.OPTIMAL
+            if result.optimum != 0:
+                forced_zero = False
+            if result.witness not in witnesses:
+                witnesses.append(result.witness)
+    if forced_zero:
+        return UniqueIdentity()
+    return PolytopeFamily(
+        dim=feasible_region_dim(a, b, k, witnesses),
+        halfspace_matrix=a,
+        halfspace_rhs=b,
+        witnesses=tuple(witnesses),
+    )
+
 
 def unpruned_feasible_region_dim(a: Mat, b: Vec, nvars: int) -> int:
     """Affine dimension of ``{x : A x <= b}`` with one exact LP per row, no pruning."""

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gptdyn import solver
+from gptdyn import polytopes
 from gptdyn.exactla import dot, identity, matvec, rank, vec
 from gptdyn.solver import (
     ConstraintSystem,
@@ -185,17 +185,27 @@ def test_halfspaces_equal_direction_reference(name, branch, monkeypatch):
     t, cs = constraints(name, branch)
     stage = solve_linear_stage(cs)
     reference = direction_halfspaces(t, flat_free_directions(cs))
-    systems = []
+    calls = []
 
     def recording_lp(objective, eq=None, ineq=None, sense="max"):
-        systems.append(ineq)
+        calls.append((objective, ineq))
         return lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
 
-    lp_optimize = solver.lp_optimize
-    monkeypatch.setattr(solver, "lp_optimize", recording_lp)
+    lp_optimize = polytopes.lp_optimize
+    monkeypatch.setattr(polytopes, "lp_optimize", recording_lp)
     result = impose_state_preservation(t, stage)
-    assert len(systems) == 2 * stage.dim
-    assert all(system == reference for system in systems)
+    # Every LP runs on the reference's rows with b = 0, in order, and the box
+    # -1 <= lam_i <= 1; the origin is strict on the box, so only cone rows
+    # are minimised.
+    cone = tuple(row for row, bound in zip(*reference) if bound == 0)
+    box = tuple(
+        tuple(sign if j == i else 0 for j in range(stage.dim))
+        for i in range(stage.dim)
+        for sign in (1, -1)
+    )
+    system = (cone + box, (0,) * len(cone) + (1,) * len(box))
+    assert all(ineq == system for _, ineq in calls)
+    assert all(objective in cone for objective, _ in calls)
     if isinstance(result, PolytopeFamily):
         assert (result.halfspace_matrix, result.halfspace_rhs) == reference
     else:

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from gptdyn import polytopes, solver
+from gptdyn import polytopes
 from gptdyn.exactla import dot, identity, mat, matvec, vec
 from gptdyn.simplex import LpStatus, lp_optimize, stochastic_fixed_point
 from gptdyn.solver import assemble_constraints, impose_state_preservation, solve_linear_stage
@@ -256,7 +256,7 @@ def _recorded_state_preservation_lps(t, monkeypatch):
         calls.append((objective, eq, ineq, sense))
         return lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
 
-    monkeypatch.setattr(solver, "lp_optimize", recording_lp)
+    # Stage two makes its LPs in polytopes.implicit_equalities.
     monkeypatch.setattr(polytopes, "lp_optimize", recording_lp)
     for branch in range(t.branch_outcomes):
         impose_state_preservation(t, solve_linear_stage(assemble_constraints(t, branch)))

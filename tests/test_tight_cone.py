@@ -1,0 +1,132 @@
+"""Stage two on the tight cone against the axis-LP route over the whole system.
+
+The solver decides the family on the rows with zero bound plus a unit box;
+``helpers.axis_lp_state_preservation`` is the route it replaced, with ``2k``
+axis LPs and the dimension search over every (vertex, facet) row.  Both must
+give the same halfspaces, result and dimension, and the new witnesses must
+be ``dim + 1`` affinely independent exact members of the family.
+"""
+
+from dataclasses import replace
+import random
+
+import pytest
+
+from gptdyn import polytopes
+from gptdyn.exactla import ONE, ZERO, affine_hull_dim, dot, identity, zeros
+from gptdyn.solver import (
+    LinearStage,
+    PolytopeFamily,
+    allowed_transform_set,
+    family_member,
+    impose_state_preservation,
+    verify_transformation,
+)
+from gptdyn.theories import PolytopeStateSpace, builtin_theory
+
+from helpers import (
+    HALVES,
+    SIXTHS,
+    axis_lp_state_preservation,
+    inscribed_sphere_theory,
+    random_v_theory,
+)
+from test_linear_stage import CASES, THEORIES
+
+CROSS_THEORIES = dict(THEORIES)
+CROSS_THEORIES.update(
+    (f"{label}_v{seed}", lambda seed=seed, grid=grid: random_v_theory(random.Random(seed), grid))
+    for label, grid in (("halves", HALVES), ("sixths", SIXTHS))
+    for seed in range(100, 120)
+)
+CROSS_THEORIES["inscribed6"] = lambda: inscribed_sphere_theory((-1, 1))
+CROSS_THEORIES["inscribed10"] = lambda: inscribed_sphere_theory((-1, 0, 1))
+CROSS_CASES = CASES + [
+    (name, branch)
+    for name, build in CROSS_THEORIES.items()
+    if name not in THEORIES
+    for branch in range(build().branch_outcomes)
+]
+
+
+def _without_witnesses(result):
+    if isinstance(result, PolytopeFamily):
+        return replace(result, witnesses=())
+    return result
+
+
+def assert_witnesses_span_family(t, branch, stage, family):
+    """Origin first, ``dim + 1`` affinely independent exact members, each verified."""
+    witnesses = family.witnesses
+    assert witnesses[0] == zeros(stage.dim)
+    assert len(witnesses) == family.dim + 1
+    assert affine_hull_dim(witnesses) == family.dim
+    for w in witnesses:
+        for row, bound in zip(family.halfspace_matrix, family.halfspace_rhs):
+            assert dot(row, w) <= bound
+        assert verify_transformation(t, family_member(stage, w), branch).passed
+
+
+@pytest.mark.parametrize(
+    "name, branch", CROSS_CASES, ids=[f"{name}-{branch}" for name, branch in CROSS_CASES]
+)
+def test_tight_cone_matches_axis_lp_reference(name, branch):
+    t = CROSS_THEORIES[name]()
+    ats = allowed_transform_set(t, branch)
+    if not isinstance(t.state_space, PolytopeStateSpace):
+        assert ats.result_kind() == "candidates"
+        return
+    reference = axis_lp_state_preservation(t, ats.linear_stage)
+    expected = replace(ats, state_preserving=_without_witnesses(reference))
+    got = replace(ats, state_preserving=_without_witnesses(ats.state_preserving))
+    assert repr(got) == repr(expected)
+    if isinstance(ats.state_preserving, PolytopeFamily):
+        assert_witnesses_span_family(t, branch, ats.linear_stage, ats.state_preserving)
+
+
+def test_every_cone_row_an_equality_gives_p_zero():
+    # Kernel vectors w and -w in the X row of the square: every row with
+    # b = 0 is +-(1, -1), an implicit equality, so the search finds no member
+    # and p = 0, while lam_1 = lam_2 leaves a family of dimension 1.  Only
+    # dependent directions get here (a map keeping every vertex on each of
+    # its facets is the identity), so the family contains a line and has no
+    # axis-LP reference.
+    t = builtin_theory("gbit")
+    w = (ONE, ZERO, ZERO)
+    kernel = (w, tuple(-x for x in w))
+    zero_row = zeros(3)
+    stage = LinearStage(
+        base=identity(3),
+        first_free_row=2,
+        kernel=kernel,
+        free_directions=tuple((zero_row, zero_row, u) for u in kernel),
+    )
+    family = impose_state_preservation(t, stage)
+    assert isinstance(family, PolytopeFamily)
+    cone = {row for row, bound in zip(family.halfspace_matrix, family.halfspace_rhs) if bound == 0}
+    assert cone == {(ONE, -ONE), (-ONE, ONE)}
+    assert family.dim == 1
+    assert_witnesses_span_family(t, 0, stage, family)
+
+
+def test_inscribed_26_vertex_lps_stay_on_the_tight_cone(monkeypatch):
+    t = inscribed_sphere_theory(range(-2, 3))
+    assert len(t.state_space.vertices) == 26
+    sizes = []
+    lp_optimize = polytopes.lp_optimize
+
+    def recording_lp(objective, eq=None, ineq=None, sense="max"):
+        sizes.append(len(ineq[0]))
+        return lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
+
+    monkeypatch.setattr(polytopes, "lp_optimize", recording_lp)
+    for branch in (0, 1):
+        sizes.clear()
+        ats = allowed_transform_set(t, branch)
+        family = ats.state_preserving
+        assert isinstance(family, PolytopeFamily)
+        assert family.dim == 4
+        zero_rows = sum(1 for bound in family.halfspace_rhs if bound == 0)
+        assert zero_rows < len(family.halfspace_rhs)
+        assert sizes and max(sizes) <= zero_rows + 2 * ats.linear_stage.dim
+        assert_witnesses_span_family(t, branch, ats.linear_stage, family)
