@@ -94,14 +94,14 @@ def _load(args) -> tuple[TheorySpec, str]:
 def _parse_branch(t: TheorySpec, label: str) -> int:
     if t.branch_outcomes == 2 and label in _BRANCH_ALIASES:
         return _BRANCH_ALIASES[label]
-    try:
-        branch = int(label)
-    except ValueError:
+    # ASCII digits only: int() would also take "0_1", " 1" and other scripts' digits.
+    if not (label.isascii() and label.removeprefix("-").isdigit()):
         raise ValueError(
             f"branch label {label!r} is not an outcome of {t.branch.label!r} "
             f"(use 0..{t.branch_outcomes - 1}"
             + (" or up/low)" if t.branch_outcomes == 2 else ")")
-        ) from None
+        )
+    branch = int(label)
     if not 0 <= branch < t.branch_outcomes:
         raise ValueError(
             f"branch {branch} out of range 0..{t.branch_outcomes - 1}"

@@ -13,8 +13,9 @@ integer vectors, so its cost follows the number of rays, not the number of
 milliseconds.  ``MAX_ENUM_DIM`` bounds the dimension of both conversions,
 since intermediate ray sets can grow exponentially with it.
 
-``is_bounded`` and ``implicit_equalities``, the solver's stage two, answer
-their questions about a halfspace region with exact LPs.
+:func:`slice_polytope` reads a halfspace region's vertices and boundedness
+off one pass, with an exact LP only when the cone is not pointed;
+``implicit_equalities``, the solver's stage two, uses exact LPs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .exactla import (
     ONE,
     Vec,
     ZERO,
-    affine_hull_dim,
     int_combination,
     int_dot,
     int_echelon,
@@ -59,7 +59,7 @@ def canonical_halfspace(normal: Sequence[Fraction], offset: Fraction) -> Halfspa
     return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
 
 
-def _extreme_rays(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+def _extreme_rays(rows: Sequence[Sequence[Fraction]]) -> list[list[int]] | None:
     """Extreme rays of the cone ``{y : row . y >= 0 for every row}``.
 
     The double description method: start from the simplicial cone of the
@@ -72,14 +72,14 @@ def _extreme_rays(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     when no third ray is zero on every row they are both zero on (the exact
     combinatorial test); zero sets are bitmasks over the rows added so far.
     Each ray is a gcd-reduced integer vector, so it is unique.  Rows are
-    scaled to integers first; the result is ``[]`` when the rows do not span
-    the space (the cone is not pointed).
+    scaled to integers first; the result is ``None`` when the rows do not
+    span the space (the cone is not pointed).
     """
     ints = [scale_to_integers(row)[0] for row in rows]
     n = len(ints[0])
     picked, rays, kernel = int_echelon(ints, n)
     if kernel:
-        return []
+        return None
     later = sorted(set(range(len(ints))).difference(picked))
     all_picked = sum(1 << k for k in picked)
     zeros = [all_picked & ~(1 << k) for k in picked]
@@ -117,7 +117,9 @@ def facet_enumeration(vertices: Sequence[Vec]) -> list[Halfspace]:
     cone of inequalities valid on every vertex, found by
     :func:`_extreme_rays`; each ray is already coprime, as
     :func:`canonical_halfspace` would make it.  Duplicate and interior
-    points are allowed.  Each returned pair ``(a, b)`` means ``a . x <= b``.
+    points are allowed.  The rows ``(1, v)`` span exactly when the vertices
+    affinely span the space, so a cone that is not pointed means flat input.
+    Each returned pair ``(a, b)`` means ``a . x <= b``.
     """
     if not vertices:
         raise ValueError("facet enumeration needs at least one vertex")
@@ -129,26 +131,26 @@ def facet_enumeration(vertices: Sequence[Vec]) -> list[Halfspace]:
         raise UnsupportedDimensionError(
             f"facet enumeration supports dimension <= {MAX_ENUM_DIM}, got {dim}"
         )
-    if affine_hull_dim(vertices) != dim:
+    rays = _extreme_rays([(ONE, *v) for v in vertices])
+    if rays is None:
         raise ValueError(
             "vertices do not affinely span the ambient space; "
             "enumerate within coordinates of the affine hull instead"
         )
     if dim == 0:
-        # A point has no facets; the ray found would be the trivial 0 <= 1.
+        # A point has no facets; the ray found is the trivial 0 <= 1.
         return []
-    rays = _extreme_rays([(ONE, *v) for v in vertices])
     return sorted((tuple(Fraction(-c) for c in y[1:]), Fraction(y[0])) for y in rays)
 
 
-def vertex_enumeration(halfspaces: Sequence[Halfspace]) -> list[Vec]:
-    """All vertices of ``{x : a . x <= b}``: points with ``dim`` independent tight rows.
+def slice_polytope(halfspaces: Sequence[Halfspace]) -> tuple[list[Vec], bool]:
+    """Vertices of ``{x : a . x <= b}``, and whether the region is bounded.
 
-    The vertices ``x`` are the extreme rays ``(1, x)``, up to scale, of the
-    homogenised cone ``{(t, x) : t >= 0, b t - a . x >= 0}``, found by
-    :func:`_extreme_rays`; rays with ``t = 0`` are directions of an unbounded
-    region and are dropped.  An empty region, or one containing a line, has
-    no vertex and gives ``[]``.
+    Both are read off the :func:`_extreme_rays` ``(t, x)`` of the homogenised
+    cone ``{t >= 0, b t - a . x >= 0}``: ``x / t`` is a vertex when ``t > 0``
+    and ``x`` a direction of an unbounded region when ``t = 0``.  No vertex
+    of a pointed cone means an empty region, which is bounded; a cone that is
+    not pointed takes one LP to tell an empty region from one with a line.
     """
     if not halfspaces:
         raise ValueError("vertex enumeration needs at least one halfspace")
@@ -162,23 +164,21 @@ def vertex_enumeration(halfspaces: Sequence[Halfspace]) -> list[Vec]:
         )
     rows = [(ONE,) + (ZERO,) * dim] + [(b, *(-x for x in a)) for a, b in halfspaces]
     rays = _extreme_rays(rows)
-    return sorted(tuple(Fraction(x, y[0]) for x in y[1:]) for y in rays if y[0] > 0)
+    if rays is None:
+        result = lp_optimize((ZERO,) * dim, ineq=tuple(zip(*halfspaces)))
+        return [], result.status is LpStatus.INFEASIBLE
+    vertices = sorted(tuple(Fraction(x, y[0]) for x in y[1:]) for y in rays if y[0] > 0)
+    return vertices, not vertices or len(vertices) == len(rays)
+
+
+def vertex_enumeration(halfspaces: Sequence[Halfspace]) -> list[Vec]:
+    """All vertices of ``{x : a . x <= b}``; ``[]`` if it is empty or has a line."""
+    return slice_polytope(halfspaces)[0]
 
 
 def is_bounded(halfspaces: Sequence[Halfspace]) -> bool:
-    """Exact boundedness test: each coordinate admits a finite max and min."""
-    if not halfspaces:
-        return False
-    dim = len(halfspaces[0][0])
-    a = tuple(h[0] for h in halfspaces)
-    b = tuple(h[1] for h in halfspaces)
-    for i in range(dim):
-        axis = tuple(ONE if j == i else ZERO for j in range(dim))
-        for sense in ("max", "min"):
-            result = lp_optimize(axis, ineq=(a, b), sense=sense)
-            if result.status is LpStatus.UNBOUNDED:
-                return False
-    return True
+    """Whether ``{x : a . x <= b}`` is bounded (an empty region is, no rows are not)."""
+    return bool(halfspaces) and slice_polytope(halfspaces)[1]
 
 
 def _slacks(scaled: list[tuple[list[int], int]], point: Vec) -> list[int]:

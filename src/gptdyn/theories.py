@@ -44,8 +44,7 @@ from .polytopes import (
     Halfspace,
     canonical_halfspace,
     facet_enumeration,
-    is_bounded,
-    vertex_enumeration,
+    slice_polytope,
 )
 
 
@@ -344,16 +343,17 @@ def polytope_from_halfspaces(halfspaces: list[Halfspace]) -> PolytopeStateSpace:
 
     ``a`` has one entry per minimal coordinate (the first multiplies ``n``)
     and the inequality is read on the ``n = 1`` slice, then homogenised to
-    the sub-normalised cone.
+    the sub-normalised cone.  One ``slice_polytope`` pass gives the slice's
+    vertices and boundedness, so a slice dimension above ``MAX_ENUM_DIM``
+    raises ``UnsupportedDimensionError`` before any LP.
     """
     if not halfspaces:
         raise TheoryValidationError("a polytope state space needs halfspaces")
-    slice_halfspaces = [(a[1:], b - a[0]) for a, b in halfspaces]
-    if not is_bounded(slice_halfspaces):
+    slice_vertices, bounded = slice_polytope([(a[1:], b - a[0]) for a, b in halfspaces])
+    if not bounded:
         raise TheoryValidationError(
             "the supplied halfspaces do not bound a polytope of normalised states"
         )
-    slice_vertices = vertex_enumeration(slice_halfspaces)
     if not slice_vertices:
         raise TheoryValidationError("the supplied halfspaces admit no vertex")
     vertices = tuple((ONE,) + w for w in slice_vertices)

@@ -33,7 +33,7 @@ from .theories import (
     polytope_from_vertices,
 )
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class ConfigParseError(ValueError):

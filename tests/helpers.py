@@ -5,7 +5,8 @@ the flat d*d-unknown form of the solver's equality stage, the axis-LP stage
 two over the whole (vertex, facet) system that the tight cone replaced, the
 rational-row simplex the integer-row one replaced, the one-LP-per-row
 implicit-equality search, the subset-by-subset facet and vertex
-enumerations that double description replaced, the ``Fraction`` (vertex,
+enumerations that double description replaced, the axis-LP boundedness
+test that the homogenised cone's rays replaced, the ``Fraction`` (vertex,
 facet) checks that the integer rows of a polytope space replaced, the
 matrix-by-matrix family members, and the ball's route through the
 expectation-picture conversion matrices."""
@@ -589,6 +590,21 @@ def brute_vertex_enumeration(halfspaces: Sequence[Halfspace]) -> list[Vec]:
         if all(dot(a, point) <= b for a, b in halfspaces):
             found.add(point)
     return sorted(found)
+
+
+def lp_is_bounded(halfspaces: Sequence[Halfspace]) -> bool:
+    """Exact boundedness test: each coordinate admits a finite max and min."""
+    if not halfspaces:
+        return False
+    dim = len(halfspaces[0][0])
+    a = tuple(h[0] for h in halfspaces)
+    b = tuple(h[1] for h in halfspaces)
+    for i in range(dim):
+        for sense in ("max", "min"):
+            result = lp_optimize(unit(dim, i), ineq=(a, b), sense=sense)
+            if result.status is LpStatus.UNBOUNDED:
+                return False
+    return True
 
 
 # -- Reference (vertex, facet) checks: the ``Fraction`` dot products that the

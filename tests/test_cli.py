@@ -215,9 +215,11 @@ def test_rational_with_trailing_newline_exits_2(capsys, tmp_path):
 
 
 def test_bad_branch_label_exits_2(capsys):
-    code, _, err = run(capsys, "solve", "--builtin", "gbit", "--branch", "sideways")
-    assert code == 2
-    assert "branch" in err
+    # int() alone would read "0_1" as 1, " 1" as 1 and the Arabic-Indic "١" as 1.
+    for label in ("sideways", "0_1", " 1", "\u0661"):
+        code, _, err = run(capsys, "solve", "--builtin", "gbit", "--branch", label)
+        assert code == 2
+        assert "branch" in err
 
 
 def test_theory_file_matches_builtin(capsys, tmp_path):

@@ -20,6 +20,7 @@ from gptdyn.theories import BUILTIN_BUILDERS, PolytopeStateSpace, make_boxworld
 from helpers import (
     brute_facet_enumeration,
     brute_vertex_enumeration,
+    lp_is_bounded,
     rational_mixture,
     unpruned_feasible_region_dim,
 )
@@ -126,6 +127,12 @@ def test_is_bounded():
     assert is_bounded(square)
     half_plane = [(vec([1, 0]), Fraction(1))]
     assert not is_bounded(half_plane)
+    # An empty region counts as bounded: here x <= -1 and x >= 0, with the
+    # homogenised cone pointed by y >= 0 and not pointed without it.
+    empty = [(vec([1, 0]), Fraction(-1)), (vec([-1, 0]), Fraction(0))]
+    assert is_bounded(empty + [(vec([0, -1]), Fraction(0))])
+    assert is_bounded(empty)
+    assert not is_bounded([])
 
 
 def test_feasible_region_dim_cases():
@@ -330,7 +337,9 @@ def test_vertex_enumeration_matches_brute_force_on_random_halfspaces():
         if cases & {"empty", "line"}:
             assert vertices == []
         dim = len(halfspaces[0][0])
-        if vertices and not is_bounded(halfspaces):
+        bounded = is_bounded(halfspaces)
+        assert bounded == lp_is_bounded(halfspaces)
+        if vertices and not bounded:
             cases.add("unbounded")
         if not vertices and rank(tuple(a for a, _ in halfspaces)) == dim:
             cases.add("no vertex, full rank")

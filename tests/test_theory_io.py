@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gptdyn import polytopes
 from gptdyn.exactla import identity, vec
 from gptdyn.polytopes import UnsupportedDimensionError
 from gptdyn.theories import (
@@ -71,7 +72,9 @@ def test_parse_rational_values():
 
 
 def test_parse_rational_rejects_floats_and_junk():
-    for bad in ("0.5", "1e3", "1/0", "", "a/b", "3/4\n", " 1", 0.5, True, None):
+    # "\u0663/\u0664" is 3/4 in Arabic-Indic digits, which a bare \d would take.
+    bad_inputs = ("0.5", "1e3", "1/0", "", "a/b", "3/4\n", " 1", "\u0663/\u0664")
+    for bad in (*bad_inputs, 0.5, True, None):
         with pytest.raises(ConfigParseError):
             parse_rational(bad)
 
@@ -196,20 +199,59 @@ def test_high_dimensional_configs_exceed_enumeration_limit():
 
 
 def test_unbounded_halfspaces_rejected():
-    config = """
-    {
-      "measurements": [
-        {"label": "Z", "outcomes": 2, "role": "branch"},
-        {"label": "X", "outcomes": 2, "role": "fiducial"}
-      ],
-      "state_space": {
+    # Rows a . (n, z, x) <= b on the slice n = 1, with z = p(Z=0), x = p(X=0).
+    cases = [
+        # A pointed unbounded region: the quadrant z, x >= 0.
+        ([(["0", "-1", "0"], "0"), (["0", "0", "-1"], "0")], "bound"),
+        # A nonempty region containing a line: the half-plane z >= 0.
+        ([(["0", "-1", "0"], "0")], "bound"),
+        # Empty, with the nonzero recession cone {x = 0, z >= 0}.
+        (
+            [(["0", "-1", "0"], "0"), (["0", "0", "-1"], "0"), (["0", "0", "1"], "-1")],
+            "no vertex",
+        ),
+        # Empty, and no row constrains x, so the homogenised cone is not pointed.
+        ([(["0", "-1", "0"], "-1"), (["0", "1", "0"], "0")], "no vertex"),
+    ]
+    payload = json.loads(GBIT_CONFIG)
+    for rows, message in cases:
+        payload["state_space"] = {
+            "type": "polytope_h",
+            "halfspaces": [{"a": a, "b": b} for a, b in rows],
+        }
+        with pytest.raises(TheoryValidationError, match=message):
+            load_theory(render_json(payload))
+
+
+def test_ragged_halfspaces_rejected():
+    # Normals of different lengths are a user error, not a crash in the simplex.
+    payload = json.loads(GBIT_CONFIG)
+    payload["state_space"] = {
         "type": "polytope_h",
-        "halfspaces": [{"a": ["0", "-1", "0"], "b": "0"}]
-      }
+        "halfspaces": [{"a": ["0", "-1", "0"], "b": "0"}, {"a": ["0", "1"], "b": "1"}],
     }
-    """
-    with pytest.raises(TheoryValidationError, match="bound"):
-        load_theory(config)
+    with pytest.raises(ValueError, match="common dimension"):
+        load_theory(render_json(payload))
+
+
+def test_halfspace_configs_load_without_lps(monkeypatch):
+    # Vertices and boundedness come from one double-description pass; a
+    # config past MAX_ENUM_DIM fails before any LP.
+    calls = []
+    lp_optimize = polytopes.lp_optimize
+
+    def recording_lp(*args, **kwargs):
+        calls.append(args)
+        return lp_optimize(*args, **kwargs)
+
+    monkeypatch.setattr(polytopes, "lp_optimize", recording_lp)
+    for settings, outcomes in ((3, 3), (5, 2), (6, 2)):
+        t = load_theory(boxworld_halfspace_config(settings, outcomes))
+        assert t.state_space == make_boxworld(settings, outcomes).state_space
+    assert calls == []
+    with pytest.raises(UnsupportedDimensionError):
+        load_theory(boxworld_halfspace_config(3, 4))
+    assert calls == []
 
 
 def test_theory_dump_roundtrip():
