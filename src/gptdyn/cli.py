@@ -94,8 +94,11 @@ def _load(args) -> tuple[TheorySpec, str]:
 def _parse_branch(t: TheorySpec, label: str) -> int:
     if t.branch_outcomes == 2 and label in _BRANCH_ALIASES:
         return _BRANCH_ALIASES[label]
-    # ASCII digits only: int() would also take "0_1", " 1" and other scripts' digits.
-    if not (label.isascii() and label.removeprefix("-").isdigit()):
+    # ASCII digits in canonical form only: int() would also take "0_1", " 1",
+    # other scripts' digits, "00" and "-0".
+    if not (
+        label.isascii() and label.removeprefix("-").isdigit() and str(int(label)) == label
+    ):
         raise ValueError(
             f"branch label {label!r} is not an outcome of {t.branch.label!r} "
             f"(use 0..{t.branch_outcomes - 1}"

@@ -94,10 +94,10 @@ def permute_measurement_stats(s: StateVec, perm: OutcomePermutation) -> StateVec
 def is_mutually_unbiased(t: TheorySpec, labels: list[str]) -> MubReport:
     """Check every vertex against every outcome relabelling of the given set."""
     distinct = list(dict.fromkeys(labels))
-    if len(distinct) < 2:
-        raise ValueError("mutual unbiasedness needs at least two measurements")
     for label in distinct:
         t.measurement(label)
+    if len(distinct) < 2:
+        raise ValueError("mutual unbiasedness needs at least two measurements")
     if isinstance(t.state_space, BallStateSpace):
         # Outcome swaps flip one expectation sign; the ball is invariant.
         return MubReport(tuple(distinct), True)

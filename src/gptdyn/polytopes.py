@@ -14,8 +14,10 @@ milliseconds.  ``MAX_ENUM_DIM`` bounds the dimension of both conversions,
 since intermediate ray sets can grow exponentially with it.
 
 :func:`slice_polytope` reads a halfspace region's vertices and boundedness
-off one pass, with an exact LP only when the cone is not pointed;
-``implicit_equalities``, the solver's stage two, uses exact LPs.
+off one pass, with an exact LP only when the cone is not pointed.
+:func:`implicit_equalities`, the solver's stage two, marks every row in the
+span of the equalities found so far without an LP, and runs the exact LPs
+it still needs on one integer :class:`~gptdyn.simplex.LpSystem`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .exactla import (
     rank,
     scale_to_integers,
 )
-from .simplex import LpStatus, lp_optimize
+from .simplex import LpStatus, LpSystem, lp_optimize
 
 MAX_ENUM_DIM = 6
 
@@ -192,11 +194,14 @@ def implicit_equalities(
 ) -> tuple[list[int], list[Vec]]:
     """Indices of the rows of a nonempty ``{x : A x <= b}`` tight on all of it.
 
-    One exact LP minimises each row not strict at a known member; an optimum
-    below its bound adds the optimal vertex to the known members and to the
-    returned ones, so every other row is strict at one of ``points`` or of
-    those.  ``points`` are members the caller already has; one outside the
-    region raises ``ValueError``.
+    Rows are decided in order.  A row strict at a known member is no
+    equality.  A row whose ``(a_i, -b_i)`` lies in the span of the equalities
+    found so far is one: it is orthogonal to every vector of their integer
+    kernel.  Any other row is minimised by an exact LP, all on one
+    :class:`LpSystem`; an optimum below its bound adds the optimal vertex to
+    the known members and to the returned ones, so every other row is strict
+    at one of ``points`` or of those.  ``points`` are members the caller
+    already has; one outside the region raises ``ValueError``.
     """
     scaled = []
     for row, rhs in zip(a, b):
@@ -210,14 +215,25 @@ def implicit_equalities(
             strict[i] = strict[i] or slack > 0
     equalities: list[int] = []
     members: list[Vec] = []
+    system = None
+    augmented = [[*row, -rhs] for row, rhs in scaled]
+    # The integer kernel of the equalities' augmented rows: at first, everything.
+    width = len(a[0]) + 1 if a else 0
+    kernel = int_echelon([], width)[2]
     for i, (row, rhs) in enumerate(zip(a, b)):
         if strict[i]:
             continue
-        result = lp_optimize(row, ineq=(a, b), sense="min")
+        if not any(int_dot(augmented[i], f) for f in kernel):
+            equalities.append(i)
+            continue
+        if system is None:
+            system = LpSystem(len(row), ineq=(a, b))
+        result = system.optimize(row, sense="min")
         if result.status is not LpStatus.OPTIMAL:
             continue
         if result.optimum == rhs:
             equalities.append(i)
+            kernel = int_echelon([augmented[j] for j in equalities], width)[2]
             continue
         members.append(result.witness)
         for j, slack in enumerate(_slacks(scaled[i + 1 :], result.witness), i + 1):

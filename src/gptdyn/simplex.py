@@ -16,6 +16,11 @@ pivot, is the textbook one, while a pivot costs integer products and one gcd
 per row instead of rational arithmetic.  ``Fraction`` appears only at the
 boundary: each input row is scaled to integers once, and the witness levels
 and the optimum are read back as rationals.
+
+An :class:`LpSystem` holds one constraint system through phase 1, so a run
+of objectives over the same rows (stage two's implicit-equality search)
+scales them and finds a feasible basis once; :func:`lp_optimize` is the
+one-shot use of it.
 """
 
 from __future__ import annotations
@@ -126,6 +131,110 @@ def _check_system(label: str, system: tuple[Mat, Vec] | None, nvars: int) -> tup
     return a, b
 
 
+class LpSystem:
+    """The constraints ``A_eq x = b_eq`` and ``A_in x <= b_in`` of a run of LPs.
+
+    The rows are scaled to integers and phase 1 runs once, here; each
+    :meth:`optimize` starts phase 2 from a copy of the tableau phase 1 left,
+    so it takes the pivots a fresh :func:`lp_optimize` call would.  Variables
+    are free (unbounded in sign); add rows to ``ineq`` to bound them.
+    """
+
+    def __init__(
+        self,
+        nvars: int,
+        eq: tuple[Mat, Vec] | None = None,
+        ineq: tuple[Mat, Vec] | None = None,
+    ) -> None:
+        self.nvars = nvars
+        self.eq = _check_system("equality", eq, nvars)
+        self.ineq = _check_system("inequality", ineq, nvars)
+        a_eq, b_eq = self.eq
+        a_in, b_in = self.ineq
+
+        # Columns: x = u - w with u, w >= 0, then one slack per inequality row,
+        # then one artificial per row without a slack basis: equality rows and
+        # rows whose rhs is negated to make it nonnegative.
+        nslack = len(a_in)
+        base_cols = 2 * nvars + nslack
+        ncols = base_cols + len(a_eq) + sum(1 for rhs in b_in if rhs < 0)
+        rows: list[list[int]] = []
+        basis: list[int] = []
+        artificial = base_cols
+        raw_rows = [(row, rhs, None) for row, rhs in zip(a_eq, b_eq)]
+        raw_rows += [(row, rhs, 2 * nvars + i) for i, (row, rhs) in enumerate(zip(a_in, b_in))]
+        for row, rhs, slack in raw_rows:
+            ints, scale = scale_to_integers([*row, rhs])
+            sign = -1 if ints[-1] < 0 else 1
+            coeffs = [sign * v for v in ints[:-1]]
+            full = coeffs + [-v for v in coeffs] + [0] * (ncols - 2 * nvars) + [sign * ints[-1]]
+            if slack is not None:
+                full[slack] = sign * scale
+            if slack is not None and sign > 0:
+                basis.append(slack)
+            else:
+                full[artificial] = scale
+                basis.append(artificial)
+                artificial += 1
+            rows.append(full)
+
+        tableau = _Tableau(rows, basis)
+        self._feasible = True
+        if ncols > base_cols:
+            phase1 = [0] * base_cols + [1] * (ncols - base_cols) + [0]
+            status, z = tableau.minimize(phase1, ncols)
+            if status != "optimal":  # pragma: no cover - phase 1 is always bounded
+                raise AssertionError("phase-1 objective cannot be unbounded")
+            self._feasible = z[-1] == 0
+            # Drive any artificial still in the basis out, or drop its row.
+            r = 0
+            while self._feasible and r < len(tableau.rows):
+                if tableau.basis[r] >= base_cols:
+                    col = next(
+                        (c for c in range(base_cols) if tableau.rows[r][c] != 0), None
+                    )
+                    if col is None:
+                        del tableau.rows[r]
+                        del tableau.basis[r]
+                        continue
+                    tableau.pivot(r, col)
+                r += 1
+        self._tableau = tableau
+        self._base_cols = base_cols
+        self._ncols = ncols
+
+    def optimize(self, objective: Vec, sense: str = "max") -> LpResult:
+        """Optimise ``objective . x`` over the system; ``sense`` is ``"max"`` or ``"min"``.
+
+        The result is exact: when Optimal, the witness satisfies every
+        constraint exactly and attains the optimum exactly.
+        """
+        if sense not in ("max", "min"):
+            raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+        nvars = self.nvars
+        if len(objective) != nvars:
+            raise ValueError(f"objective has {len(objective)} entries for {nvars} variables")
+        if not self._feasible:
+            return LpResult(LpStatus.INFEASIBLE, None, None)
+        # A pivot replaces rows and never edits one in place, so copying the
+        # two lists keeps phase 1's tableau intact for the next objective.
+        tableau = _Tableau(list(self._tableau.rows), list(self._tableau.basis))
+        sign = -1 if sense == "max" else 1
+        obj, _ = scale_to_integers(objective)
+        padding = [0] * (self._ncols - 2 * nvars + 1)
+        phase2 = [sign * v for v in obj] + [-sign * v for v in obj] + padding
+        status, _ = tableau.minimize(phase2, self._base_cols)
+        if status == "unbounded":
+            return LpResult(LpStatus.UNBOUNDED, None, None)
+
+        levels = [ZERO] * (2 * nvars)
+        for row, basic in zip(tableau.rows, tableau.basis):
+            if basic < 2 * nvars:
+                levels[basic] = Fraction(row[-1], row[basic])
+        witness = tuple(levels[j] - levels[nvars + j] for j in range(nvars))
+        return LpResult(LpStatus.OPTIMAL, dot(objective, witness), witness)
+
+
 def lp_optimize(
     objective: Vec,
     eq: tuple[Mat, Vec] | None = None,
@@ -134,79 +243,12 @@ def lp_optimize(
 ) -> LpResult:
     """Optimise ``objective . x`` subject to ``A_eq x = b_eq`` and ``A_in x <= b_in``.
 
-    Variables are free (unbounded in sign); add rows to ``ineq`` to bound
-    them.  ``sense`` is ``"max"`` or ``"min"``.  The result is exact: when
-    Optimal, the witness satisfies every constraint exactly and attains the
-    optimum exactly.
+    One :class:`LpSystem` used once.  Variables are free (unbounded in sign);
+    add rows to ``ineq`` to bound them.  ``sense`` is ``"max"`` or
+    ``"min"``.  The result is exact: when Optimal, the witness satisfies
+    every constraint exactly and attains the optimum exactly.
     """
-    if sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
-    nvars = len(objective)
-    a_eq, b_eq = _check_system("equality", eq, nvars)
-    a_in, b_in = _check_system("inequality", ineq, nvars)
-
-    # Columns: x = u - w with u, w >= 0, then one slack per inequality row,
-    # then one artificial per row without a slack basis: equality rows and
-    # rows whose rhs is negated to make it nonnegative.
-    nslack = len(a_in)
-    base_cols = 2 * nvars + nslack
-    ncols = base_cols + len(a_eq) + sum(1 for rhs in b_in if rhs < 0)
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    artificial = base_cols
-    raw_rows = [(row, rhs, None) for row, rhs in zip(a_eq, b_eq)]
-    raw_rows += [(row, rhs, 2 * nvars + i) for i, (row, rhs) in enumerate(zip(a_in, b_in))]
-    for row, rhs, slack in raw_rows:
-        ints, scale = scale_to_integers([*row, rhs])
-        sign = -1 if ints[-1] < 0 else 1
-        coeffs = [sign * v for v in ints[:-1]]
-        full = coeffs + [-v for v in coeffs] + [0] * (ncols - 2 * nvars) + [sign * ints[-1]]
-        if slack is not None:
-            full[slack] = sign * scale
-        if slack is not None and sign > 0:
-            basis.append(slack)
-        else:
-            full[artificial] = scale
-            basis.append(artificial)
-            artificial += 1
-        rows.append(full)
-
-    tableau = _Tableau(rows, basis)
-
-    if ncols > base_cols:
-        phase1 = [0] * base_cols + [1] * (ncols - base_cols) + [0]
-        status, z = tableau.minimize(phase1, ncols)
-        if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-            raise AssertionError("phase-1 objective cannot be unbounded")
-        if z[-1] != 0:
-            return LpResult(LpStatus.INFEASIBLE, None, None)
-        # Drive any artificial still in the basis out, or drop its row.
-        r = 0
-        while r < len(tableau.rows):
-            if tableau.basis[r] >= base_cols:
-                col = next(
-                    (c for c in range(base_cols) if tableau.rows[r][c] != 0), None
-                )
-                if col is None:
-                    del tableau.rows[r]
-                    del tableau.basis[r]
-                    continue
-                tableau.pivot(r, col)
-            r += 1
-
-    sign = -1 if sense == "max" else 1
-    obj, _ = scale_to_integers(objective)
-    phase2 = [sign * v for v in obj] + [-sign * v for v in obj] + [0] * (ncols - 2 * nvars + 1)
-    status, _ = tableau.minimize(phase2, base_cols)
-    if status == "unbounded":
-        return LpResult(LpStatus.UNBOUNDED, None, None)
-
-    levels = [ZERO] * (2 * nvars)
-    for row, basic in zip(tableau.rows, tableau.basis):
-        if basic < 2 * nvars:
-            levels[basic] = Fraction(row[-1], row[basic])
-    witness = tuple(levels[j] - levels[nvars + j] for j in range(nvars))
-    return LpResult(LpStatus.OPTIMAL, dot(objective, witness), witness)
+    return LpSystem(len(objective), eq, ineq).optimize(objective, sense)
 
 
 def stochastic_fixed_point(s: Mat) -> Vec:

@@ -75,7 +75,6 @@ from .theories import (
     StateVec,
     TheorySpec,
     membership,
-    spanning_states,
 )
 from .theory_io import vec_strs
 
@@ -225,7 +224,7 @@ def assemble_constraints(t: TheorySpec, branch: int) -> ConstraintSystem:
         raise ValueError(
             f"branch {branch} out of range for {t.branch_outcomes} outcomes"
         )
-    if rank(spanning_states(t)) != t.dim:
+    if not t.states_span_space:
         raise DegenerateTheoryError(
             "the valid states do not span the state space; branch-statistics "
             "preservation cannot be promoted to row constraints"
@@ -478,24 +477,26 @@ def _verify_against(cs: ConstraintSystem, transform: Mat) -> VerificationReport:
     branch_residuals = tuple(
         vec_sub(transform[r], ident[r]) for r in range(cs.branch_row_count)
     )
+    # With T = M / m and v = x / s in integers, (T v - v)_i is
+    # (M_i . x - m x_i) / (m s).
+    entries, m = scale_to_integers([a for row in transform for a in row])
+    int_rows = [entries[i * d : (i + 1) * d] for i in range(d)]
     fixed_residuals = tuple(
-        vec_sub(matvec(transform, v), v) for v in cs.fixed_vectors
+        tuple(Fraction(int_dot(row, x) - m * xi, m * s) for row, xi in zip(int_rows, x))
+        for x, s in map(scale_to_integers, cs.fixed_vectors)
     )
     space = t.state_space
     violations: list[tuple[Vec, Vec, str]] = []
     if isinstance(space, PolytopeStateSpace):
         method = "vertex-images"
         # The image T v of vertex v = x / s is inside when 0 <= n <= 1 and
-        # g . T v <= 0 for every facet g = h / e.  With T = M / m in integers,
-        # that is 0 <= M_0 . x <= m s and (h^T M) . x <= 0: each facet is
-        # pulled back through M once.  Membership words the violation of a
-        # vertex that fails.
-        entries, m = scale_to_integers([a for row in transform for a in row])
+        # g . T v <= 0 for every facet g = h / e.  That is 0 <= M_0 . x <= m s
+        # and (h^T M) . x <= 0: each facet is pulled back through M once.
+        # Membership words the violation of a vertex that fails.
         columns = [entries[j :: d] for j in range(d)]
-        n_row = entries[:d]
         pulled_back = [[int_dot(h, col) for col in columns] for h, _ in space.int_facets]
         for v, (x, s) in zip(space.vertices, space.int_vertices):
-            n = int_dot(n_row, x)
+            n = int_dot(int_rows[0], x)
             if 0 <= n <= m * s and all(int_dot(p, x) <= 0 for p in pulled_back):
                 continue
             image = matvec(transform, v)

@@ -36,6 +36,7 @@ from .exactla import (
     int_dot,
     matmul,
     matvec,
+    rank,
     scale_to_integers,
     unit,
     vec,
@@ -247,6 +248,11 @@ class TheorySpec:
     @cached_property
     def _minimal_to_expectation(self) -> Mat:
         return matmul(prob_to_expectation_matrix(self), minimal_to_prob_matrix(self))
+
+    @cached_property
+    def states_span_space(self) -> bool:
+        """Whether the valid states span the minimal space, as the solver needs."""
+        return rank(spanning_states(self)) == self.dim
 
 
 def _validate_theory(t: TheorySpec) -> None:

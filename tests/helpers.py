@@ -3,13 +3,14 @@ polytopes inscribed in the qubit's sphere, and references for the fast
 paths: the ``Fraction`` Gauss-Jordan elimination the integer one replaced,
 the flat d*d-unknown form of the solver's equality stage, the axis-LP stage
 two over the whole (vertex, facet) system that the tight cone replaced, the
-rational-row simplex the integer-row one replaced, the one-LP-per-row
-implicit-equality search, the subset-by-subset facet and vertex
-enumerations that double description replaced, the axis-LP boundedness
-test that the homogenised cone's rays replaced, the ``Fraction`` (vertex,
-facet) checks that the integer rows of a polytope space replaced, the
-matrix-by-matrix family members, and the ball's route through the
-expectation-picture conversion matrices."""
+rational-row simplex the integer-row one replaced, a recorder of every LP
+solved, the unpruned one-LP-per-row dimension search, the implicit-equality
+search with one fresh LP per undecided row that span closure replaced, the
+subset-by-subset facet and vertex enumerations that double description
+replaced, the axis-LP boundedness test that the homogenised cone's rays
+replaced, the ``Fraction`` (vertex, facet) checks that the integer rows of
+a polytope space replaced, the matrix-by-matrix family members, and the
+ball's route through the expectation-picture conversion matrices."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -30,6 +31,7 @@ from gptdyn.exactla import (
     matvec,
     nullspace,
     rank,
+    scale_to_integers,
     shape,
     solve_linear,
     unit,
@@ -40,9 +42,11 @@ from gptdyn.polytopes import (
     Halfspace,
     UnsupportedDimensionError,
     canonical_halfspace,
+    _slacks,
     feasible_region_dim,
+    implicit_equalities,
 )
-from gptdyn.simplex import LpResult, LpStatus, _check_system, lp_optimize
+from gptdyn.simplex import LpResult, LpStatus, LpSystem, _check_system, lp_optimize
 from gptdyn.solver import (
     ConstraintSystem,
     LinearStage,
@@ -471,6 +475,84 @@ def fraction_lp_optimize(
         levels[basic] = tableau.rows[r][-1]
     witness = tuple(levels[j] - levels[nvars + j] for j in range(nvars))
     return LpResult(LpStatus.OPTIMAL, dot(objective, witness), witness)
+
+
+def record_lps(monkeypatch) -> list[tuple[LpSystem, Vec, str, LpResult]]:
+    """Record every LP solved from here on as ``(system, objective, sense, result)``.
+
+    Every LP runs through ``LpSystem.optimize``: stage two's searches on
+    their shared systems and each ``lp_optimize`` call on its own.
+    """
+    calls = []
+    optimize = LpSystem.optimize
+
+    def recording(self, objective, sense="max"):
+        result = optimize(self, objective, sense)
+        calls.append((self, objective, sense, result))
+        return result
+
+    monkeypatch.setattr(LpSystem, "optimize", recording)
+    return calls
+
+
+def assert_lps_match_fraction_reference(calls) -> None:
+    """Each recorded result repr-equals the rational tableau's on the same LP."""
+    for system, objective, sense, result in calls:
+        want = fraction_lp_optimize(objective, eq=system.eq, ineq=system.ineq, sense=sense)
+        assert repr(result) == repr(want), (objective, system.eq, system.ineq, sense)
+
+
+def lp_implicit_equalities(
+    a: Mat, b: Vec, points: Sequence[Vec] = ()
+) -> tuple[list[int], list[Vec]]:
+    """``polytopes.implicit_equalities`` with one fresh LP per row not yet strict.
+
+    The search as it was before span closure: no row is marked an equality
+    without an LP, and each LP is its own ``lp_optimize`` call.
+    """
+    scaled = []
+    for row, rhs in zip(a, b):
+        ints, _ = scale_to_integers([*row, rhs])
+        scaled.append((ints[:-1], ints[-1]))
+    strict = [False] * len(a)
+    for point in points:
+        for i, slack in enumerate(_slacks(scaled, point)):
+            if slack < 0:
+                raise ValueError(f"point {point} violates row {i} of the region")
+            strict[i] = strict[i] or slack > 0
+    equalities: list[int] = []
+    members: list[Vec] = []
+    for i, (row, rhs) in enumerate(zip(a, b)):
+        if strict[i]:
+            continue
+        result = lp_optimize(row, ineq=(a, b), sense="min")
+        if result.status is not LpStatus.OPTIMAL:
+            continue
+        if result.optimum == rhs:
+            equalities.append(i)
+            continue
+        members.append(result.witness)
+        for j, slack in enumerate(_slacks(scaled[i + 1 :], result.witness), i + 1):
+            strict[j] = strict[j] or slack > 0
+    return equalities, members
+
+
+def checked_implicit_equalities(calls, a: Mat, b: Vec, points: Sequence[Vec] = ()):
+    """``implicit_equalities``, checked against :func:`lp_implicit_equalities`.
+
+    ``calls`` is the list :func:`record_lps` fills.  Both searches must give
+    the same equalities and members, and the search may end no more LPs in
+    an equality than the rank of its equalities.  Returns the result and the
+    number of equalities that took an LP.
+    """
+    start = len(calls)
+    got = implicit_equalities(a, b, points)
+    # An optimal LP ends in an equality or adds one member.
+    optimal = sum(1 for *_, result in calls[start:] if result.status is LpStatus.OPTIMAL)
+    by_lp = optimal - len(got[1])
+    assert by_lp <= rank(tuple(a[i] for i in got[0]))
+    assert got == lp_implicit_equalities(a, b, points)
+    return got, by_lp
 
 
 def axis_lp_state_preservation(

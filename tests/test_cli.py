@@ -215,11 +215,21 @@ def test_rational_with_trailing_newline_exits_2(capsys, tmp_path):
 
 
 def test_bad_branch_label_exits_2(capsys):
-    # int() alone would read "0_1" as 1, " 1" as 1 and the Arabic-Indic "١" as 1.
-    for label in ("sideways", "0_1", " 1", "\u0661"):
+    # int() alone would read "0_1" as 1, " 1" as 1, the Arabic-Indic "١" as 1,
+    # and "-0" and "00" as 0.
+    for label in ("sideways", "0_1", " 1", "\u0661", "-0", "00"):
         code, _, err = run(capsys, "solve", "--builtin", "gbit", "--branch", label)
         assert code == 2
-        assert "branch" in err
+        assert "is not an outcome" in err
+    code, _, err = run(capsys, "solve", "--builtin", "gbit", "--branch", "-1")
+    assert code == 2
+    assert "out of range" in err
+
+
+def test_mub_names_an_unknown_label_first(capsys):
+    code, _, err = run(capsys, "mub", "--builtin", "gbit", "--labels", "Q")
+    assert code == 2
+    assert "unknown measurement 'Q'" in err
 
 
 def test_theory_file_matches_builtin(capsys, tmp_path):

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from gptdyn import polytopes
 from gptdyn.exactla import dot, identity, matvec, rank, vec
 from gptdyn.solver import (
     ConstraintSystem,
@@ -31,11 +30,13 @@ from gptdyn.theory_io import load_theory
 
 from helpers import (
     SIXTHS,
+    assert_lps_match_fraction_reference,
     direction_halfspaces,
     flat_equations,
     flat_free_directions,
     matrix_family_member,
     random_v_theory,
+    record_lps,
 )
 from test_theory_io import DIAMOND_H_CONFIG
 
@@ -185,18 +186,12 @@ def test_halfspaces_equal_direction_reference(name, branch, monkeypatch):
     t, cs = constraints(name, branch)
     stage = solve_linear_stage(cs)
     reference = direction_halfspaces(t, flat_free_directions(cs))
-    calls = []
-
-    def recording_lp(objective, eq=None, ineq=None, sense="max"):
-        calls.append((objective, ineq))
-        return lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
-
-    lp_optimize = polytopes.lp_optimize
-    monkeypatch.setattr(polytopes, "lp_optimize", recording_lp)
+    calls = record_lps(monkeypatch)
     result = impose_state_preservation(t, stage)
     # Every LP runs on the reference's rows with b = 0, in order, and the box
     # -1 <= lam_i <= 1; the origin is strict on the box, so only cone rows
-    # are minimised.
+    # are minimised.  Cone rows are nonzero and tight at the origin, so the
+    # first one takes an LP.
     cone = tuple(row for row, bound in zip(*reference) if bound == 0)
     box = tuple(
         tuple(sign if j == i else 0 for j in range(stage.dim))
@@ -204,8 +199,10 @@ def test_halfspaces_equal_direction_reference(name, branch, monkeypatch):
         for sign in (1, -1)
     )
     system = (cone + box, (0,) * len(cone) + (1,) * len(box))
-    assert all(ineq == system for _, ineq in calls)
-    assert all(objective in cone for objective, _ in calls)
+    assert bool(calls) == bool(cone)
+    assert all(lps.eq == ((), ()) and lps.ineq == system for lps, _, _, _ in calls)
+    assert all(objective in cone and sense == "min" for _, objective, sense, _ in calls)
+    assert_lps_match_fraction_reference(calls)
     if isinstance(result, PolytopeFamily):
         assert (result.halfspace_matrix, result.halfspace_rhs) == reference
     else:

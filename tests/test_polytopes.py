@@ -1,12 +1,12 @@
 """Facet/vertex enumeration tests with explicit support oracles."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 import random
 
 import pytest
 
-from gptdyn import polytopes
 from gptdyn.exactla import affine_hull_dim, dot, mat, rank, vec
 from gptdyn.polytopes import (
     UnsupportedDimensionError,
@@ -18,10 +18,13 @@ from gptdyn.polytopes import (
 from gptdyn.theories import BUILTIN_BUILDERS, PolytopeStateSpace, make_boxworld
 
 from helpers import (
+    assert_lps_match_fraction_reference,
     brute_facet_enumeration,
     brute_vertex_enumeration,
+    checked_implicit_equalities,
     lp_is_bounded,
     rational_mixture,
+    record_lps,
     unpruned_feasible_region_dim,
 )
 
@@ -186,51 +189,105 @@ def _planted_region(rng: random.Random):
     return a, b, nvars, member
 
 
-def _recording_lp(monkeypatch):
-    objectives = []
-    lp_optimize = polytopes.lp_optimize
-
-    def recording_lp(objective, eq=None, ineq=None, sense="max"):
-        objectives.append(objective)
-        return lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
-
-    monkeypatch.setattr(polytopes, "lp_optimize", recording_lp)
-    return objectives
-
-
 def test_feasible_region_dim_pruning_matches_unpruned_reference(monkeypatch):
     rng = random.Random(31)
-    objectives = _recording_lp(monkeypatch)
+    calls = record_lps(monkeypatch)
     dims = set()
+    tight_lps = 0
     for _ in range(40):
         a, b, nvars, member = _planted_region(rng)
         expected = unpruned_feasible_region_dim(a, b, nvars)
         dims.add(nvars - expected)
         assert feasible_region_dim(a, b, nvars) == expected
-        objectives.clear()
+        calls.clear()
         assert feasible_region_dim(a, b, nvars, [member]) == expected
         # A row strict at the given member is no implicit equality: no LP for it.
         tight = {row for row, rhs in zip(a, b) if dot(row, member) == rhs}
-        assert set(objectives) <= tight
+        assert {objective for _, objective, _, _ in calls} <= tight
+        tight_lps += len(calls)
     assert dims >= {0, 1, 2}
+    assert tight_lps
 
 
 def test_feasible_region_dim_lp_calls(monkeypatch):
-    objectives = _recording_lp(monkeypatch)
+    calls = record_lps(monkeypatch)
+
+    def objectives():
+        return [objective for _, objective, _, _ in calls]
+
     square_rows = mat([[1, 0], [-1, 0], [0, 1], [0, -1]])
     origin = vec([0, 0])
     assert feasible_region_dim(square_rows, vec([1, 1, 1, 1]), 2, [origin]) == 2
-    assert objectives == []
-    # The pinched and point regions still decide their equalities by LP.
+    assert objectives() == []
+    # The pinched and point regions decide by LP only the equalities that
+    # are not in the span of those found before: -x <= 0 follows from
+    # x <= 0, and -y <= 0 from y <= 0.
     assert feasible_region_dim(square_rows, vec([0, 0, 1, 1]), 2, [origin]) == 1
-    assert objectives == list(square_rows[:2])
-    objectives.clear()
+    assert objectives() == [square_rows[0]]
+    assert_lps_match_fraction_reference(calls)
+    calls.clear()
     assert feasible_region_dim(square_rows, vec([0, 0, 0, 0]), 2, [origin]) == 0
-    assert objectives == list(square_rows)
+    assert objectives() == [square_rows[0], square_rows[2]]
+    assert_lps_match_fraction_reference(calls)
     # Without given points, an LP's optimal vertex prunes later rows.
-    objectives.clear()
+    calls.clear()
     assert feasible_region_dim(square_rows, vec([1, 1, 1, 1]), 2) == 2
-    assert 0 < len(objectives) < 4
+    assert 0 < len(calls) < 4
+    assert_lps_match_fraction_reference(calls)
+    # The LPs of one search share one system.
+    assert len({id(system) for system, _, _, _ in calls}) == 1
+
+
+def _random_search_case(rng: random.Random):
+    """A nonempty region around a random member, with rows of every kind.
+
+    Rows with a negative bound send the LPs through phase 1; zero rows have
+    a bound of 0 or more; planted pairs and sums of two rows that are tight
+    at the member give equalities in the span of others.
+    """
+    nvars = rng.randint(1, 4)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+
+    member = tuple(rational() for _ in range(nvars))
+    rows, rhs = [], []
+    for _ in range(rng.randint(0, 7)):
+        if rng.random() < 0.15:
+            row = (Fraction(0),) * nvars
+        else:
+            row = tuple(rational() for _ in range(nvars))
+        rows.append(row)
+        rhs.append(dot(row, member) + rng.choice((0, 0, Fraction(rng.randint(1, 6), 3))))
+    for _ in range(rng.choice((0, 1, 2))):
+        row = tuple(rational() for _ in range(nvars))
+        rows += [row, tuple(-x for x in row)]
+        rhs += [dot(row, member), -dot(row, member)]
+    tight = [row for row, bound in zip(rows, rhs) if dot(row, member) == bound]
+    if len(tight) >= 2 and rng.random() < 0.5:
+        u, w = rng.sample(tight, 2)
+        rows.append(tuple(x + y for x, y in zip(u, w)))
+        rhs.append(dot(rows[-1], member))
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    a = tuple(rows[i] for i in order)
+    b = tuple(rhs[i] for i in order)
+    return a, b, rng.choice(((), (member,)))
+
+
+def test_implicit_equalities_match_one_lp_per_row_reference(monkeypatch):
+    rng = random.Random(53)
+    calls = record_lps(monkeypatch)
+    seen = Counter()
+    assert checked_implicit_equalities(calls, (), ()) == (([], []), 0)
+    for _ in range(200):
+        a, b, points = _random_search_case(rng)
+        (equalities, members), by_lp = checked_implicit_equalities(calls, a, b, points)
+        # Each optimal LP of the search ends in an equality or adds a member.
+        seen["phase 1"] += any(rhs < 0 for rhs in b) and by_lp + len(members) > 0
+        seen["zero row"] += any(not any(row) for row in a)
+        seen["by span"] += len(equalities) > by_lp
+    assert min(seen[k] for k in ("phase 1", "zero row", "by span")) >= 10, seen
 
 
 def test_feasible_region_dim_rejects_points_outside():

@@ -8,13 +8,12 @@ import random
 
 import pytest
 
-from gptdyn import polytopes
 from gptdyn.exactla import dot, identity, mat, matvec, vec
-from gptdyn.simplex import LpStatus, lp_optimize, stochastic_fixed_point
+from gptdyn.simplex import LpStatus, LpSystem, lp_optimize, stochastic_fixed_point
 from gptdyn.solver import assemble_constraints, impose_state_preservation, solve_linear_stage
 from gptdyn.theories import BUILTIN_BUILDERS, PolytopeStateSpace, make_boxworld
 
-from helpers import fraction_lp_optimize
+from helpers import assert_lps_match_fraction_reference, fraction_lp_optimize, record_lps
 
 
 def test_maximize_on_unit_interval():
@@ -240,24 +239,51 @@ def _assert_same_as_reference(objective, eq, ineq, sense):
     return got
 
 
-def test_integer_tableau_matches_rational_tableau_on_random_lps():
+def _seeded_lps():
     rng = random.Random(2024)
-    statuses = Counter()
     for k in range(200):
-        lp = _face_lp(rng) if k % 5 < 2 else _mixed_lp(rng)
+        yield _face_lp(rng) if k % 5 < 2 else _mixed_lp(rng)
+
+
+def test_integer_tableau_matches_rational_tableau_on_random_lps():
+    statuses = Counter()
+    for lp in _seeded_lps():
         statuses[_assert_same_as_reference(*lp).status] += 1
     assert min(statuses[s] for s in LpStatus) >= 15, statuses
 
 
+def test_one_system_answers_like_fresh_lps():
+    # Several objectives on one system, in turn: a pivot leaking from one
+    # optimisation into the next would change a later result.
+    rng = random.Random(7)
+    for objective, eq, ineq, sense in _seeded_lps():
+        nvars = len(objective)
+        system = LpSystem(nvars, eq, ineq)
+        other = vec([_rational(rng) for _ in range(nvars)])
+        runs = [(objective, sense), (other, rng.choice(("max", "min")))]
+        runs += [(row, "min") for row in (ineq[0] if ineq else ())[:2]]
+        runs.append((objective, sense))
+        for c, direction in runs:
+            fresh = lp_optimize(c, eq=eq, ineq=ineq, sense=direction)
+            assert repr(system.optimize(c, direction)) == repr(fresh), (c, eq, ineq, direction)
+
+
+def test_system_checks_its_inputs():
+    with pytest.raises(ValueError, match="columns"):
+        LpSystem(2, ineq=(mat([[1]]), vec([1])))
+    system = LpSystem(1, ineq=(mat([[1]]), vec([1])))
+    with pytest.raises(ValueError, match="entries"):
+        system.optimize(vec([1, 2]))
+    with pytest.raises(ValueError, match="sense"):
+        system.optimize(vec([1]), sense="upwards")
+    # An infeasible system answers every objective the same.
+    empty = LpSystem(1, ineq=(mat([[1], [-1]]), vec([0, -1])))
+    for sense in ("max", "min"):
+        assert empty.optimize(vec([1]), sense).status is LpStatus.INFEASIBLE
+
+
 def _recorded_state_preservation_lps(t, monkeypatch):
-    calls = []
-
-    def recording_lp(objective, eq=None, ineq=None, sense="max"):
-        calls.append((objective, eq, ineq, sense))
-        return lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
-
-    # Stage two makes its LPs in polytopes.implicit_equalities.
-    monkeypatch.setattr(polytopes, "lp_optimize", recording_lp)
+    calls = record_lps(monkeypatch)
     for branch in range(t.branch_outcomes):
         impose_state_preservation(t, solve_linear_stage(assemble_constraints(t, branch)))
     return calls
@@ -276,5 +302,7 @@ SOLVER_THEORIES = {
 
 @pytest.mark.parametrize("name", sorted(SOLVER_THEORIES))
 def test_integer_tableau_matches_rational_tableau_on_solver_lps(name, monkeypatch):
-    for call in _recorded_state_preservation_lps(SOLVER_THEORIES[name](), monkeypatch):
-        _assert_same_as_reference(*call)
+    calls = _recorded_state_preservation_lps(SOLVER_THEORIES[name](), monkeypatch)
+    # The classical bit's linear stage has no free direction, so no LP.
+    assert bool(calls) == (name != "classical2")
+    assert_lps_match_fraction_reference(calls)

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from gptdyn import polytopes
 from gptdyn.exactla import identity, vec
 from gptdyn.polytopes import UnsupportedDimensionError
 from gptdyn.theories import (
@@ -25,6 +24,8 @@ from gptdyn.theory_io import (
     rational_str,
     render_json,
 )
+
+from helpers import record_lps
 
 GBIT_CONFIG = """
 {
@@ -237,14 +238,7 @@ def test_ragged_halfspaces_rejected():
 def test_halfspace_configs_load_without_lps(monkeypatch):
     # Vertices and boundedness come from one double-description pass; a
     # config past MAX_ENUM_DIM fails before any LP.
-    calls = []
-    lp_optimize = polytopes.lp_optimize
-
-    def recording_lp(*args, **kwargs):
-        calls.append(args)
-        return lp_optimize(*args, **kwargs)
-
-    monkeypatch.setattr(polytopes, "lp_optimize", recording_lp)
+    calls = record_lps(monkeypatch)
     for settings, outcomes in ((3, 3), (5, 2), (6, 2)):
         t = load_theory(boxworld_halfspace_config(settings, outcomes))
         assert t.state_space == make_boxworld(settings, outcomes).state_space

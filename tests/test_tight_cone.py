@@ -8,12 +8,16 @@ be ``dim + 1`` affinely independent exact members of the family.
 """
 
 from dataclasses import replace
+import importlib
+from pathlib import Path
 import random
 
 import pytest
 
-from gptdyn import polytopes
+import gptdyn
+from gptdyn import solver
 from gptdyn.exactla import ONE, ZERO, affine_hull_dim, dot, identity, zeros
+from gptdyn.simplex import lp_optimize
 from gptdyn.solver import (
     LinearStage,
     PolytopeFamily,
@@ -23,13 +27,17 @@ from gptdyn.solver import (
     verify_transformation,
 )
 from gptdyn.theories import PolytopeStateSpace, builtin_theory
+from gptdyn.theory_io import load_theory
 
 from helpers import (
     HALVES,
     SIXTHS,
+    assert_lps_match_fraction_reference,
     axis_lp_state_preservation,
+    checked_implicit_equalities,
     inscribed_sphere_theory,
     random_v_theory,
+    record_lps,
 )
 from test_linear_stage import CASES, THEORIES
 
@@ -84,6 +92,38 @@ def test_tight_cone_matches_axis_lp_reference(name, branch):
         assert_witnesses_span_family(t, branch, ats.linear_stage, ats.state_preserving)
 
 
+@pytest.mark.parametrize(
+    "name, branch", CROSS_CASES, ids=[f"{name}-{branch}" for name, branch in CROSS_CASES]
+)
+def test_search_matches_one_lp_per_row_reference(name, branch, monkeypatch):
+    t = CROSS_THEORIES[name]()
+    calls = record_lps(monkeypatch)
+    searches = []
+
+    def checked(a, b, points=()):
+        result, _ = checked_implicit_equalities(calls, a, b, points)
+        searches.append(result)
+        return result
+
+    monkeypatch.setattr(solver, "implicit_equalities", checked)
+    allowed_transform_set(t, branch)
+    assert len(searches) == isinstance(t.state_space, PolytopeStateSpace)
+
+
+def test_random_family_pass_makes_at_most_97_lps(monkeypatch):
+    # The theories of one pass of the benchmark's random_family workload,
+    # listed as at seed 11; the one-LP-per-row search made 176 LPs on them.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    family = workloads.RandomFamily(gptdyn, random.Random(11), None)
+    calls = record_lps(monkeypatch)
+    for _, _, text in family.theories:
+        t = load_theory(text)
+        for branch in (0, 1):
+            allowed_transform_set(t, branch)
+    assert 0 < len(calls) <= 97
+
+
 def test_every_cone_row_an_equality_gives_p_zero():
     # Kernel vectors w and -w in the X row of the square: every row with
     # b = 0 is +-(1, -1), an implicit equality, so the search finds no member
@@ -112,21 +152,27 @@ def test_every_cone_row_an_equality_gives_p_zero():
 def test_inscribed_26_vertex_lps_stay_on_the_tight_cone(monkeypatch):
     t = inscribed_sphere_theory(range(-2, 3))
     assert len(t.state_space.vertices) == 26
-    sizes = []
-    lp_optimize = polytopes.lp_optimize
-
-    def recording_lp(objective, eq=None, ineq=None, sense="max"):
-        sizes.append(len(ineq[0]))
-        return lp_optimize(objective, eq=eq, ineq=ineq, sense=sense)
-
-    monkeypatch.setattr(polytopes, "lp_optimize", recording_lp)
+    calls = record_lps(monkeypatch)
     for branch in (0, 1):
-        sizes.clear()
+        calls.clear()
         ats = allowed_transform_set(t, branch)
         family = ats.state_preserving
         assert isinstance(family, PolytopeFamily)
         assert family.dim == 4
         zero_rows = sum(1 for bound in family.halfspace_rhs if bound == 0)
         assert zero_rows < len(family.halfspace_rhs)
-        assert sizes and max(sizes) <= zero_rows + 2 * ats.linear_stage.dim
+        assert calls
+        assert all(
+            len(system.ineq[0]) <= zero_rows + 2 * ats.linear_stage.dim
+            for system, _, _, _ in calls
+        )
+        if branch:
+            assert_lps_match_fraction_reference(calls)
+        else:
+            # The rational tableau takes about 6 s on branch 0's LPs; the
+            # integer one, checked against it elsewhere, takes 0.3 s.  Its
+            # fresh calls are recorded too, so loop over a copy.
+            for system, objective, sense, result in list(calls):
+                fresh = lp_optimize(objective, eq=system.eq, ineq=system.ineq, sense=sense)
+                assert repr(result) == repr(fresh)
         assert_witnesses_span_family(t, branch, ats.linear_stage, family)
