@@ -23,7 +23,7 @@ it still needs on one integer :class:`~gptdyn.simplex.LpSystem`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .exactla import (
@@ -142,7 +142,9 @@ def facet_enumeration(vertices: Sequence[Vec]) -> list[Halfspace]:
     if dim == 0:
         # A point has no facets; the ray found is the trivial 0 <= 1.
         return []
-    return sorted((tuple(Fraction(-c) for c in y[1:]), Fraction(y[0])) for y in rays)
+    # Every (a, b) is an integer row, so sorting the integers sorts the pairs.
+    facets = sorted((tuple(-c for c in y[1:]), y[0]) for y in rays)
+    return [(tuple(map(Fraction, a)), Fraction(b)) for a, b in facets]
 
 
 def slice_polytope(halfspaces: Sequence[Halfspace]) -> tuple[list[Vec], bool]:
@@ -169,7 +171,11 @@ def slice_polytope(halfspaces: Sequence[Halfspace]) -> tuple[list[Vec], bool]:
     if rays is None:
         result = lp_optimize((ZERO,) * dim, ineq=tuple(zip(*halfspaces)))
         return [], result.status is LpStatus.INFEASIBLE
-    vertices = sorted(tuple(Fraction(x, y[0]) for x in y[1:]) for y in rays if y[0] > 0)
+    points = [y for y in rays if y[0] > 0]
+    # x / t over one common denominator: the integers x * (L // t) sort as the vertices.
+    common = lcm(*(y[0] for y in points))
+    points.sort(key=lambda y: [x * (common // y[0]) for x in y[1:]])
+    vertices = [tuple(Fraction(x, y[0]) for x in y[1:]) for y in points]
     return vertices, not vertices or len(vertices) == len(rays)
 
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from math import lcm
 
 from .exactla import (
     Mat,
@@ -86,17 +88,23 @@ class PolytopeStateSpace:
     ``vertices`` are minimal-representation rows with ``n = 1``.
     ``cone_facets`` rows ``g`` encode ``g . x <= 0`` for every sub-normalised
     member ``x``; together with ``0 <= n <= 1`` they are the exact
-    membership test.  Both are stored sorted so equal state spaces compare
-    equal no matter how they were constructed.
+    membership test.  Both are stored de-duplicated and sorted so equal
+    state spaces compare equal no matter how they were constructed.
 
-    ``int_vertices`` and ``int_facets`` hold the same rows in integers, made
-    once when the space is built: each row as ``(numerators, scale)``, the
-    row times the lcm of its denominators and that positive lcm
+    ``int_vertices`` and ``int_facets`` hold the same rows in integers: each
+    row as ``(numerators, scale)``, the row times the lcm of its
+    denominators and that positive lcm
     (:func:`~gptdyn.exactla.scale_to_integers`), in the order of the
     rational rows.  Signs of dot products are the same on them, so the
     (vertex, facet) loops of validation, membership, the solver and
     verification run on them.  They are derived, so they take no part in
     ``==``, ``hash`` or ``repr``.
+
+    Both forms come from one pass per row set, when the space is built:
+    each row is scaled once, and the rows are de-duplicated and sorted on
+    ``numerators * (L // scale)``, the row times the lcm ``L`` of all the
+    row scales.  One common positive factor keeps the rational order, so
+    no ``Fraction`` is compared.
     """
 
     vertices: Mat
@@ -109,17 +117,28 @@ class PolytopeStateSpace:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
-        object.__setattr__(self, "cone_facets", tuple(sorted(set(self.cone_facets))))
-        object.__setattr__(self, "int_vertices", _scaled_rows(self.vertices))
-        object.__setattr__(self, "int_facets", _scaled_rows(self.cone_facets))
+        vertices, int_vertices = _canonical_rows(self.vertices)
+        cone_facets, int_facets = _canonical_rows(self.cone_facets)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "cone_facets", cone_facets)
+        object.__setattr__(self, "int_vertices", int_vertices)
+        object.__setattr__(self, "int_facets", int_facets)
 
 
-def _scaled_rows(rows: Mat) -> tuple[tuple[tuple[int, ...], int], ...]:
-    return tuple(
-        (tuple(numerators), scale)
-        for numerators, scale in map(scale_to_integers, rows)
-    )
+def _canonical_rows(
+    rows: Mat,
+) -> tuple[Mat, tuple[tuple[tuple[int, ...], int], ...]]:
+    """``rows`` de-duplicated and sorted, and their integer forms, in one pass."""
+    scaled = [(row, *scale_to_integers(row)) for row in rows]
+    common = lcm(*(scale for _, _, scale in scaled))
+    unique = {}
+    for row, numerators, scale in scaled:
+        ints = tuple(numerators)
+        key = ints if scale == common else tuple(x * (common // scale) for x in ints)
+        if key not in unique:
+            unique[key] = (row, (ints, scale))
+    ordered = [unique[key] for key in sorted(unique)]
+    return tuple(row for row, _ in ordered), tuple(ints for _, ints in ordered)
 
 
 @dataclass(frozen=True)
@@ -292,34 +311,37 @@ def _validate_theory(t: TheorySpec) -> None:
         raise TheoryValidationError("a polytope state space needs facets")
     # On the integer rows a vertex v = x / s has n = 1 iff x[0] = s, and each
     # probability p = q / s lies in [0, 1] iff 0 <= q <= s.
+    dim = t.dim
     blocks = []
     offset = 1
     for m in t.measurements:
         blocks.append((m.label, offset, offset + m.outcomes - 1))
         offset += m.outcomes - 1
     for v, (x, s) in zip(space.vertices, space.int_vertices):
-        if len(v) != t.dim:
+        if len(v) != dim:
             raise TheoryValidationError(
-                f"vertex {_fmt(v)} has {len(v)} entries, expected {t.dim}"
+                f"vertex {_fmt(v)} has {len(v)} entries, expected {dim}"
             )
         if x[0] != s:
             raise TheoryValidationError(f"vertex {_fmt(v)} is not normalised (n != 1)")
         for label, start, stop in blocks:
             kept = x[start:stop]
-            for j, q in enumerate((*kept, s - sum(kept))):
-                if q < 0 or q > s:
-                    raise TheoryValidationError(
-                        f"vertex {_fmt(v)}: p({label}={j}) = {Fraction(q, s)} "
-                        "is outside [0, 1]"
-                    )
+            probabilities = (*kept, s - sum(kept))
+            if min(probabilities) >= 0 and max(probabilities) <= s:
+                continue
+            j, q = next((j, q) for j, q in enumerate(probabilities) if q < 0 or q > s)
+            raise TheoryValidationError(
+                f"vertex {_fmt(v)}: p({label}={j}) = {Fraction(q, s)} is outside [0, 1]"
+            )
+    points = [x for x, _ in space.int_vertices]
     for g, (h, _) in zip(space.cone_facets, space.int_facets):
-        if len(g) != t.dim:
+        if len(g) != dim:
             raise TheoryValidationError("facet dimension does not match the theory")
-        for v, (x, _) in zip(space.vertices, space.int_vertices):
-            if int_dot(h, x) > 0:
-                raise TheoryValidationError(
-                    f"vertex {_fmt(v)} violates the supplied facet {_fmt(g)}"
-                )
+        if max(map(int_dot, repeat(h), points)) > 0:
+            v = next(v for v, x in zip(space.vertices, points) if int_dot(h, x) > 0)
+            raise TheoryValidationError(
+                f"vertex {_fmt(v)} violates the supplied facet {_fmt(g)}"
+            )
 
 
 def _fmt(values: Vec) -> str:

@@ -1,8 +1,10 @@
 """Reading and writing theories, transformations, and report payloads.
 
 All rational values cross the wire as exact strings like ``"3/4"`` or
-``"2"``; floats are rejected outright so a config can never silently lose
-precision.  Theory configs are UTF-8 JSON documents of the form::
+``"2"`` (ASCII digits, an optional leading ``+`` or ``-``); configs may also
+give JSON integers.  Floats are rejected outright so a config can never
+silently lose precision.  Theory configs are UTF-8 JSON documents of the
+form::
 
     {
       "measurements": [
@@ -14,7 +16,8 @@ precision.  Theory configs are UTF-8 JSON documents of the form::
 
 where ``state_space.type`` is one of ``polytope_v`` (minimal-representation
 vertices), ``polytope_h`` (halfspaces ``{"a": [...], "b": "p/q"}`` read on
-normalised states), or ``ball``.
+normalised states), or ``ball``.  Every vertex and every ``a`` has one
+entry per minimal coordinate, ``1 + sum(outcomes - 1)``.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ from .theories import (
     MeasurementSpec,
     Role,
     TheorySpec,
+    TheoryValidationError,
     polytope_from_halfspaces,
     polytope_from_vertices,
 )
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class ConfigParseError(ValueError):
@@ -43,12 +47,14 @@ class ConfigParseError(ValueError):
 def parse_rational(text: object) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ConfigParseError(
             f"expected an exact rational like '3/4' or '2', got {text!r}"
         )
+    numerator, denominator = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(numerator), int(denominator or 1))
     except ZeroDivisionError:
         raise ConfigParseError(f"zero denominator in {text!r}") from None
 
@@ -57,9 +63,14 @@ def rational_str(value: Fraction) -> str:
     return str(value)
 
 
-def _parse_vector(raw: object, context: str) -> Vec:
+def _parse_vector(raw: object, context: str, length: int | None = None) -> Vec:
     if not isinstance(raw, list) or not raw:
         raise ConfigParseError(f"{context} must be a non-empty array of rationals")
+    if length is not None and len(raw) != length:
+        raise TheoryValidationError(
+            f"{context} has {len(raw)} entries, expected {length}: rows share the "
+            "common dimension 1 + sum(outcomes - 1) of the measurements"
+        )
     return tuple(parse_rational(v) for v in raw)
 
 
@@ -104,6 +115,8 @@ def load_theory(text: str) -> TheorySpec:
             raise ConfigParseError(f"{context}: 'role' must be 'branch' or 'fiducial'")
         measurements.append(MeasurementSpec(label, outcomes, Role(role)))
 
+    # Every vertex and normal has one entry per minimal coordinate.
+    dim = 1 + sum(m.outcomes - 1 for m in measurements)
     raw_space = doc["state_space"]
     if not isinstance(raw_space, dict) or "type" not in raw_space:
         raise ConfigParseError("'state_space' must be an object with a 'type'")
@@ -114,7 +127,7 @@ def load_theory(text: str) -> TheorySpec:
         if not isinstance(raw_vertices, list) or not raw_vertices:
             raise ConfigParseError("'vertices' must be a non-empty array")
         vertices = tuple(
-            _parse_vector(v, f"vertices[{i}]") for i, v in enumerate(raw_vertices)
+            _parse_vector(v, f"vertices[{i}]", dim) for i, v in enumerate(raw_vertices)
         )
         space = polytope_from_vertices(vertices)
     elif kind == "polytope_h":
@@ -129,7 +142,7 @@ def load_theory(text: str) -> TheorySpec:
                 raise ConfigParseError(f"{context} must be an object")
             _require_keys(raw, {"a", "b"}, {"a", "b"}, context)
             halfspaces.append(
-                (_parse_vector(raw["a"], f"{context}.a"), parse_rational(raw["b"]))
+                (_parse_vector(raw["a"], f"{context}.a", dim), parse_rational(raw["b"]))
             )
         space = polytope_from_halfspaces(halfspaces)
     elif kind == "ball":

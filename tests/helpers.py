@@ -9,8 +9,9 @@ search with one fresh LP per undecided row that span closure replaced, the
 subset-by-subset facet and vertex enumerations that double description
 replaced, the axis-LP boundedness test that the homogenised cone's rays
 replaced, the ``Fraction`` (vertex, facet) checks that the integer rows of
-a polytope space replaced, the matrix-by-matrix family members, and the
-ball's route through the expectation-picture conversion matrices."""
+a polytope space replaced, the ``Fraction`` sort that their one integer
+pass replaced, the matrix-by-matrix family members, and the ball's route
+through the expectation-picture conversion matrices."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -722,6 +723,17 @@ def fraction_validation_error(
             if dot(g, v) > 0:
                 return f"vertex {_fmt(v)} violates the supplied facet {_fmt(g)}"
     return None
+
+
+def sorted_set_rows(rows: Mat) -> tuple[Mat, tuple[tuple[tuple[int, ...], int], ...]]:
+    """A polytope space's stored rows and integer rows, by the ``Fraction`` route.
+
+    ``sorted(set(rows))`` on the rational tuples, then each kept row scaled
+    to integers on its own: what ``theories._canonical_rows`` does in one
+    integer pass.
+    """
+    canonical = tuple(sorted(set(rows)))
+    return canonical, tuple((tuple(x), s) for x, s in map(scale_to_integers, canonical))
 
 
 def fraction_membership(t: TheorySpec, s: StateVec) -> MembershipResult:

@@ -68,6 +68,12 @@ def test_parse_rational_values():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)
     assert parse_rational(5) == Fraction(5)
+    # JSON integers and a leading sign are accepted; the value is reduced.
+    for text, value in (("+3/4", "3/4"), ("007", "7"), ("-0/5", "0"), ("-6/4", "-3/2")):
+        assert repr(parse_rational(text)) == repr(Fraction(value))
+    assert repr(parse_rational(-12)) == repr(Fraction(-12))
+    with pytest.raises(ConfigParseError, match=r"zero denominator in '\+1/0'"):
+        parse_rational("+1/0")
     assert rational_str(Fraction(3, 4)) == "3/4"
     assert rational_str(Fraction(2)) == "2"
 
@@ -75,6 +81,7 @@ def test_parse_rational_values():
 def test_parse_rational_rejects_floats_and_junk():
     # "\u0663/\u0664" is 3/4 in Arabic-Indic digits, which a bare \d would take.
     bad_inputs = ("0.5", "1e3", "1/0", "", "a/b", "3/4\n", " 1", "\u0663/\u0664")
+    bad_inputs += ("1_0", "1/+2", "+-1", "6/")
     for bad in (*bad_inputs, 0.5, True, None):
         with pytest.raises(ConfigParseError):
             parse_rational(bad)
@@ -233,6 +240,40 @@ def test_ragged_halfspaces_rejected():
     }
     with pytest.raises(ValueError, match="common dimension"):
         load_theory(render_json(payload))
+
+
+def _resized(row: list, length: int) -> list:
+    return (row + ["0"] * length)[:length]
+
+
+@pytest.mark.parametrize("length", [2, 8, 9])
+def test_wrong_length_rows_name_their_index(length):
+    # The square has minimal dimension 3.  Rows of any other length used to
+    # fail inside the conversion ("supports dimension <= 6, got 7") or on a
+    # converted vertex the config never wrote ("vertex (1, 0) has 2 entries").
+    payload = json.loads(GBIT_CONFIG)
+    vertices = payload["state_space"]["vertices"]
+    halfspaces = json.loads(DIAMOND_H_CONFIG)["state_space"]["halfspaces"]
+    expected = f"has {length} entries, expected 3"
+    for rows, key, wrong in (
+        ([_resized(v, length) for v in vertices], "vertices", "vertices[0]"),
+        (
+            [{**h, "a": _resized(h["a"], length)} for h in halfspaces],
+            "halfspaces",
+            "halfspaces[0].a",
+        ),
+        (vertices[:2] + [_resized(vertices[2], length)] + vertices[3:], "vertices", "vertices[2]"),
+        (
+            halfspaces[:1] + [{**halfspaces[1], "a": _resized(halfspaces[1]["a"], length)}],
+            "halfspaces",
+            "halfspaces[1].a",
+        ),
+    ):
+        payload["state_space"] = {"type": f"polytope_{key[0]}", key: rows}
+        with pytest.raises(TheoryValidationError) as caught:
+            load_theory(render_json(payload))
+        assert str(caught.value).startswith(f"{wrong} {expected}")
+        assert "common dimension" in str(caught.value)
 
 
 def test_halfspace_configs_load_without_lps(monkeypatch):

@@ -16,14 +16,16 @@ import pytest
 
 import gptdyn
 from gptdyn import solver
-from gptdyn.exactla import ONE, ZERO, affine_hull_dim, dot, identity, zeros
+from gptdyn.exactla import ONE, ZERO, affine_hull_dim, dot, identity, rank, zeros
 from gptdyn.simplex import lp_optimize
 from gptdyn.solver import (
     LinearStage,
     PolytopeFamily,
     allowed_transform_set,
+    assemble_constraints,
     family_member,
     impose_state_preservation,
+    solve_linear_stage,
     verify_transformation,
 )
 from gptdyn.theories import PolytopeStateSpace, builtin_theory
@@ -35,6 +37,7 @@ from helpers import (
     assert_lps_match_fraction_reference,
     axis_lp_state_preservation,
     checked_implicit_equalities,
+    direction_halfspaces,
     inscribed_sphere_theory,
     random_v_theory,
     record_lps,
@@ -108,6 +111,24 @@ def test_search_matches_one_lp_per_row_reference(name, branch, monkeypatch):
     monkeypatch.setattr(solver, "implicit_equalities", checked)
     allowed_transform_set(t, branch)
     assert len(searches) == isinstance(t.state_space, PolytopeStateSpace)
+
+
+POLYTOPE_CROSS_CASES = [(name, branch) for name, branch in CROSS_CASES if name != "qubit"]
+
+
+@pytest.mark.parametrize(
+    "name, branch",
+    POLYTOPE_CROSS_CASES,
+    ids=[f"{name}-{branch}" for name, branch in POLYTOPE_CROSS_CASES],
+)
+def test_tight_cone_is_pointed(name, branch):
+    # rank A0 = k: a direction D with I + eD and I - eD both allowed keeps
+    # every vertex on each facet through it, so Dv = 0 on spanning vertices.
+    t = CROSS_THEORIES[name]()
+    stage = solve_linear_stage(assemble_constraints(t, branch))
+    rows, rhs = direction_halfspaces(t, stage.free_directions)
+    cone = tuple(row for row, bound in zip(rows, rhs) if bound == 0)
+    assert rank(cone) == stage.dim
 
 
 def test_random_family_pass_makes_at_most_97_lps(monkeypatch):
